@@ -1,25 +1,21 @@
-"""Vectorized synthesis vs the scalar daemon loop: replay throughput.
+"""Vectorized synthesis: replay throughput.
 
-The slow path's write side used to be a per-timestep Python loop — one
-``sample()`` per node per interval, each formatting ~160 counter rows
-through string concatenation.  The vectorized engine
-(``docs/PERFORMANCE.md`` "Vectorized synthesis") batches every
-job-segment into one ``[timesteps x devices x counters]`` kernel call
-per collector and, for v2 archives, hands the columns straight to the
-encoder without re-parsing the text it just rendered.
+The slow path's write side replays every node through batched
+collector kernels (``docs/PERFORMANCE.md`` "Vectorized synthesis"):
+every job-segment is one ``[timesteps x devices x counters]`` kernel
+call per collector and, for v2 archives, the columns go straight to the
+encoder without re-parsing the text just rendered.
 
 This bench runs the scheduler simulation once, then times ONLY the node
-replay for both engines in the tentpole configuration — direct-to-v2,
-uncompressed — and asserts the two archive trees are byte-identical
-before reporting the ratio.  The ``synthesis speedup`` line is gated in
-``check_regression.py`` with a hard 5.0 floor (the acceptance criterion
-for the engine); it is a wall-clock ratio, so on shared runners the
-gate reports as advisory and ``--strict`` enforces it.
+replay in the tentpole configuration — direct-to-v2, uncompressed — and
+reports nodes/s and rows/s.  The ``synthesis nodes/s`` line is an
+advisory absolute gate in ``check_regression.py`` (a wall-clock rate,
+so ``--strict`` enforces it).  What the replay writes is pinned
+separately, by the golden digests in ``tests/data``.
 
 Set ``REPRO_BENCH_QUICK=1`` for fewer timed passes (CI smoke).
 """
 
-import hashlib
 import json
 import os
 import shutil
@@ -48,62 +44,41 @@ def replay_inputs():
             facility.phase_calibration, facility.regressions, sim.records)
 
 
-def _tree(root) -> dict[str, str]:
-    root = Path(root)
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*")) if p.is_file()
-    }
-
-
-def _timed(replay_inputs, base: str, synthesis: str, reps: int):
-    """(best seconds, first pass's dir, first pass's metrics snapshot)."""
-    best, kept_dir, kept_snap = None, None, None
+def _timed(replay_inputs, base: str, reps: int):
+    """(best seconds, first pass's metrics snapshot)."""
+    best, kept_snap = None, None
     for i in range(reps):
-        out = os.path.join(base, f"{synthesis}-{i}")
+        out = os.path.join(base, f"replay-{i}")
         t0 = time.perf_counter()
         _stats, snap = _replay_nodes(
             *replay_inputs, list(range(BENCH_CFG.num_nodes)), out,
-            False, "v2", synthesis)
+            False, "v2")
         elapsed = time.perf_counter() - t0
         best = elapsed if best is None else min(best, elapsed)
         if i == 0:
-            kept_dir, kept_snap = out, snap
-        else:
-            shutil.rmtree(out)
-    return best, kept_dir, kept_snap
+            kept_snap = snap
+        shutil.rmtree(out)
+    return best, kept_snap
 
 
 def test_synthesis_throughput(replay_inputs, save_artifact, tmp_path):
-    """Scalar daemon loop vs batched kernels, direct-to-v2, no gzip."""
-    # The gated number is a ratio of wall times; best-of-N on both
-    # sides keeps one noisy pass on a loaded CI runner from swinging it.
+    """Batched kernels, direct-to-v2, no gzip."""
+    # Best-of-N keeps one noisy pass on a loaded CI runner from swinging
+    # the gated rate.
     reps = 2 if _quick() else 3
-
-    scalar_s, scalar_dir, _ = _timed(
-        replay_inputs, str(tmp_path), "scalar", reps)
-    fast_s, fast_dir, fast_snap = _timed(
-        replay_inputs, str(tmp_path), "fast", reps)
-
-    assert _tree(fast_dir) == _tree(scalar_dir)  # byte-identical archives
+    fast_s, fast_snap = _timed(replay_inputs, str(tmp_path), reps)
 
     samples = int(fast_snap.counters["synth.samples"])
     rows = int(fast_snap.counters["synth.rows"])
     nodes = BENCH_CFG.num_nodes
-    speedup = scalar_s / fast_s
     text = "\n".join([
         "Vectorized synthesis (batched kernels -> direct-to-v2, "
         "uncompressed)",
         "",
         f"corpus: {nodes} nodes x 1 day ranger, {samples} samples, "
         f"{rows} value rows",
-        f"scalar replay: {scalar_s:.2f} s  "
-        f"({nodes / scalar_s:.1f} nodes/s)",
-        f"fast replay:   {fast_s:.2f} s  ({nodes / fast_s:.1f} nodes/s, "
-        f"{rows / fast_s:,.0f} rows/s)",
-        f"synthesis speedup: {speedup:.2f}x",
-        "",
-        "archives byte-identical fast == scalar (checked)",
+        f"replay: {fast_s:.2f} s  ({rows / fast_s:,.0f} rows/s)",
+        f"synthesis nodes/s: {nodes / fast_s:.1f}",
     ])
     save_artifact("synthesis_throughput", text)
     # Machine-readable trajectory point (uploaded by CI with the rest
@@ -115,13 +90,11 @@ def test_synthesis_throughput(replay_inputs, save_artifact, tmp_path):
         "days": 1,
         "samples": samples,
         "rows": rows,
-        "scalar_s": round(scalar_s, 4),
         "fast_s": round(fast_s, 4),
-        "synthesis_speedup_x": round(speedup, 2),
         "nodes_per_s": round(nodes / fast_s, 1),
         "rows_per_s": round(rows / fast_s),
     }
     (Path(__file__).parent / "out" / "synthesis_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print("\n" + text)
-    assert speedup > 1.0
+    assert rows > 0

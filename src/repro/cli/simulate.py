@@ -97,20 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "(enables the slow path)")
     parser.add_argument("--archive-format", choices=("text", "v2"),
                         default="text",
-                        help="on-disk format the daemons write: the "
+                        help="on-disk format the replay writes: the "
                              "paper-faithful self-describing text "
                              "(default) or the binary columnar v2 "
                              "(docs/FORMAT.md); ingest autodetects per "
                              "file and both produce byte-identical "
-                             "warehouses")
-    parser.add_argument("--synthesis", choices=("fast", "scalar"),
-                        default="fast",
-                        help="replay engine for --archive runs: the "
-                             "vectorized per-node synthesis (batched "
-                             "collector kernels, direct-to-v2 column "
-                             "writes; default) or the per-sample scalar "
-                             "daemon loop kept as the oracle — both "
-                             "produce byte-identical archives and "
                              "warehouses")
     parser.add_argument("--workers", type=int, default=1,
                         help="process-parallel node replay for --archive "
@@ -270,8 +261,6 @@ def _run_federation(args) -> int:
         return die("--ingest-days requires --with-archives")
     if args.archive_format != "text" and not args.with_archives:
         return die("--archive-format requires --with-archives")
-    if args.synthesis != "fast" and not args.with_archives:
-        return die("--synthesis requires --with-archives")
     try:
         root, plans, existed = _federation_plans(args)
     except ValueError as e:
@@ -302,7 +291,6 @@ def _run_federation(args) -> int:
                     append=args.append,
                     through_day=args.ingest_days,
                     archive_format=args.archive_format,
-                    synthesis=args.synthesis,
                     fast_writes=args.fast_writes,
                     with_syslog=not args.no_syslog,
                 )
@@ -353,8 +341,7 @@ def _run_live(args, cfg, facility, warehouse) -> int:
         session = LiveSession(
             facility, args.archive, warehouse=warehouse,
             segment_seconds=args.live_segment_seconds,
-            batch_segments=args.live_batch_segments,
-            synthesis=args.synthesis)
+            batch_segments=args.live_batch_segments)
     except ValueError as e:
         return die(str(e))
 
@@ -476,9 +463,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.archive_format != "text" and not args.archive:
         return die("--archive-format requires --archive (the fast path "
                    "writes no files)")
-    if args.synthesis != "fast" and not args.archive:
-        return die("--synthesis requires --archive (without an archive "
-                   "no replay runs at all)")
     if args.ingest_days is not None:
         if not args.archive:
             return die("--ingest-days requires --archive")
@@ -521,8 +505,7 @@ def main(argv: list[str] | None = None) -> int:
                     max_retries=args.max_retries,
                     ingest_mode="append" if args.append else "full",
                     ingest_through_day=args.ingest_days,
-                    archive_format=args.archive_format,
-                    synthesis=args.synthesis)
+                    archive_format=args.archive_format)
             else:
                 run = facility.run(warehouse=warehouse,
                                    with_syslog=not args.no_syslog)

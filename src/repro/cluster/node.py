@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 from repro.cluster.hardware import NodeHardware
 
-__all__ = ["NodeState", "Node"]
+__all__ = ["NodeState", "Node", "node_hostname"]
+
+
+def node_hostname(system: str, index: int) -> str:
+    """The hostname of node *index* of *system* (``c001-023.ranger``)."""
+    return f"c{index // 100:03d}-{index % 100:03d}.{system}"
 
 
 class NodeState(enum.Enum):

@@ -6,11 +6,17 @@ Two measurement paths produce the same warehouse contents:
   are reduced to job summaries and system series directly, vectorized
   per job.  Used for study-period-scale runs (thousands of jobs) behind
   the figure/table benchmarks.
-* :meth:`Facility.run_with_files` (slow path) — per-node TACC_Stats
-  daemons serialize the real self-describing text format to a rotating
-  archive, and the ingest pipeline parses, matches, and summarizes it
+* :meth:`Facility.run_with_files` (slow path) — every node's TACC_Stats
+  process writes the real archive format (self-describing text or v2
+  columnar), and the ingest pipeline parses, matches, and summarizes it
   back.  Used at smaller scale to prove the production pipeline
   end-to-end and to measure the paper's volume/overhead claims.
+
+The slow path's replay is the live one: each worker builds a
+:class:`~repro.live.runner.LiveReplay` for its node chunk and advances
+it to the horizon in one call, and :meth:`Facility.side_logs` builds
+the accounting, Lariat and syslog inputs for both the offline and the
+live ingest.
 
 Both paths construct each job's :class:`~repro.workload.JobBehavior` from
 the same seed, so they agree statistically (asserted by integration
@@ -25,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.node import node_hostname
 from repro.cluster.outages import Outage, OutageGenerator
 from repro.config import FacilityConfig
 from repro.ingest.pipeline import IngestPipeline, IngestReport
@@ -38,8 +45,6 @@ from repro.scheduler.policies import EasyBackfillPolicy, SchedulingPolicy
 from repro.syslogr.generator import SyslogGenerator
 from repro.syslogr.rationalizer import Rationalizer
 from repro.tacc_stats.archive import ArchiveStats, HostArchive
-from repro.tacc_stats.daemon import TaccStatsDaemon
-from repro.tacc_stats.synth import NodeSynth
 from repro.telemetry.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
@@ -48,7 +53,6 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.trace import span
 from repro.util.rng import RngFactory
-from repro.util.timeutil import aligned_samples
 from repro.workload.applications import APP_CATALOG, RATE_INDEX
 from repro.workload.behavior import DerivedRates, JobBehavior
 from repro.workload.generator import GeneratedWorkload, WorkloadGenerator
@@ -93,19 +97,6 @@ def _build_behavior(cfg: FacilityConfig, users: dict, util_scale: float,
     )
 
 
-def _noise_stream_factory(rng_factory: RngFactory, prefix: str, ni: int):
-    """Collector-noise stream factory for one node.
-
-    Streams are named ``<prefix>/noise/<node>/<collector>``, so every
-    draw sequence is fully determined by (seed, node, collector) — the
-    determinism contract shared by the scalar daemon, the vectorized
-    synthesis engine, and any worker-count decomposition of the replay.
-    """
-    def stream(name: str) -> np.random.Generator:
-        return rng_factory.stream(f"{prefix}/noise/{ni}/{name}")
-    return stream
-
-
 def _node_chunks(num_nodes: int, workers: int) -> list[list[int]]:
     """Split node indices across *workers*, one non-empty chunk each.
 
@@ -133,132 +124,49 @@ def _replay_nodes(
     archive_dir: str,
     compress: bool,
     archive_format: str = "text",
-    synthesis: str = "fast",
 ) -> tuple[ArchiveStats, MetricsSnapshot]:
-    """Replay a set of nodes' daemons into the shared archive directory.
+    """Replay a chunk of nodes into the shared archive directory.
 
-    Each node's files are written only by the worker owning that node, so
-    concurrent workers never touch the same path; per-node RNG streams
-    make the output byte-identical regardless of how nodes are split
-    across workers (asserted by tests).  Returns the volume accounting
-    plus the replay's telemetry snapshot — collected in a private
-    registry so write-side counters merge to the same totals whether the
-    replay ran in-process or in a pool worker.
+    Builds the :class:`~repro.live.runner.LiveReplay` of *node_indices*,
+    advances it to the horizon in one call and closes the archive.  Each
+    node's files are written only by the worker owning that node, so
+    concurrent workers never touch the same path, and per-node RNG
+    streams make the output byte-identical regardless of how nodes are
+    split across workers (asserted by tests).  Returns the volume
+    accounting plus the replay's telemetry snapshot — collected in a
+    private registry so write-side counters merge to the same totals
+    whether the replay ran in-process or in a pool worker.
     """
+    # repro.live.runner imports this module.
+    from repro.live.runner import LiveReplay
+
     local = MetricsRegistry()
     with use_registry(local):
-        stats = _replay_nodes_body(
-            cfg, seed, users, util_scale, phase_calibration, regressions,
-            records, node_indices, archive_dir, compress, archive_format,
-            synthesis)
+        # resume_stats=False: each worker reports a session-scoped tally
+        # the coordinator sums; resuming from the shared,
+        # concurrently-growing directory would double-count sibling
+        # workers' files.
+        archive = HostArchive(archive_dir, compress=compress,
+                              resume_stats=False,
+                              archive_format=archive_format)
+        LiveReplay(cfg, seed, users, util_scale, phase_calibration,
+                   regressions, records, archive,
+                   nodes=node_indices).advance(cfg.horizon)
+        stats = archive.close()
     return stats, local.snapshot()
 
 
-def _replay_nodes_body(
-    cfg: FacilityConfig,
-    seed: int,
-    users: dict,
-    util_scale: float,
-    phase_calibration: dict | None,
-    regressions: tuple,
-    records: list[JobRecord],
-    node_indices: list[int],
-    archive_dir: str,
-    compress: bool,
-    archive_format: str = "text",
-    synthesis: str = "fast",
-) -> ArchiveStats:
-    """The actual daemon replay; see :func:`_replay_nodes`."""
-    from repro.cluster.node import Node
-
-    if synthesis not in ("fast", "scalar"):
-        raise ValueError(
-            f"synthesis must be 'fast' or 'scalar', got {synthesis!r}")
-
-    rng_factory = RngFactory(seed)
-    prefix = cfg.stream_prefix
-    # resume_stats=False: each worker reports a session-scoped tally the
-    # coordinator sums; resuming from the shared, concurrently-growing
-    # directory would double-count sibling workers' files.
-    archive = HostArchive(archive_dir, compress=compress,
-                          resume_stats=False,
-                          archive_format=archive_format)
-    wanted = set(node_indices)
-    per_node: dict[int, list[tuple[float, float, JobRecord, int]]] = {}
-    needed_jobs: set[str] = set()
+def _rationalize(system: str, records: list[JobRecord], raw: list) -> list:
+    """Attribute raw syslog messages to the jobs occupying their hosts."""
+    rationalizer = Rationalizer()
     for record in records:
-        for slot, ni in enumerate(record.node_indices):
-            if ni in wanted:
-                per_node.setdefault(ni, []).append(
-                    (record.start_time, record.end_time, record, slot)
-                )
-                needed_jobs.add(record.jobid)
-    behaviors = {
-        r.jobid: _build_behavior(cfg, users, util_scale,
-                                 phase_calibration, regressions, r)
-        for r in records if r.jobid in needed_jobs
-    }
-
-    ticks = aligned_samples(0.0, cfg.horizon, cfg.sample_interval)
-    lustre = tuple(
-        fs.name for fs in cfg.filesystems if fs.kind == "lustre"
-    ) or ("scratch",)
-    nfs = tuple(fs.name for fs in cfg.filesystems if fs.kind == "nfs")
-    for ni in node_indices:
-        node = Node(index=ni,
-                    hostname=f"c{ni // 100:03d}-{ni % 100:03d}.{cfg.name}",
-                    hardware=cfg.node)
-        # Per-collector noise streams keyed (seed, node, collector): each
-        # collector's draw sequence is independent of its siblings and of
-        # how nodes are chunked across workers, and identical between the
-        # scalar daemon and the vectorized synthesis engine.
-        noise = _noise_stream_factory(rng_factory, prefix, ni)
-        if synthesis == "fast":
-            engine = NodeSynth(node, noise, archive,
-                               lustre_mounts=lustre, nfs_mounts=nfs)
-        else:
-            engine = TaccStatsDaemon(
-                node,
-                noise,
-                writer=lambda t, h=node.hostname: archive.writer(h, t),
-                lustre_mounts=lustre,
-                nfs_mounts=nfs,
-            )
-        # Same-instant ordering: end < periodic tick < begin, so a
-        # back-to-back allocation (next job starts the second the
-        # previous one releases the node) replays correctly.
-        events: list[tuple[float, int, object]] = [
-            (t, 1, None) for t in ticks
-        ]
-        for start, end, record, slot in per_node.get(ni, []):
-            if end > start:
-                events.append((start, 2, ("begin", record, slot)))
-                events.append((end, 0, ("end", record)))
-            else:
-                # Zero-duration allocation (a job truncated at the
-                # horizon): its end would sort *before* its begin under
-                # the same-instant rule, so fire both back to back.
-                events.append((start, 2, ("beginend", record, slot)))
-        events.sort(key=lambda e: (e[0], e[1]))
-        for t, kind, payload in events:
-            if kind == 1:
-                engine.sample(t)
-            elif kind == 2:
-                tag, record, slot = payload
-                engine.begin_job(record.jobid, t,
-                                 behaviors[record.jobid], slot)
-                if tag == "beginend":
-                    engine.end_job(record.jobid, t)
-            else:
-                _tag, record = payload
-                engine.end_job(record.jobid, t)
-        if synthesis == "fast":
-            engine.flush()
-    return archive.close()
-
-
-def _replay_nodes_star(args: tuple) -> tuple[ArchiveStats, MetricsSnapshot]:
-    return _replay_nodes(*args)
+        for ni in record.node_indices:
+            rationalizer.add_occupancy(
+                node_hostname(system, ni), record.start_time,
+                record.end_time, record.jobid)
+    rationalizer.finalize()
+    messages, _unknown = rationalizer.rationalize_stream(raw)
+    return messages
 
 
 @dataclass
@@ -347,6 +255,43 @@ class Facility:
             self.config, workload.users, workload.util_scale,
             self.phase_calibration, self.regressions, record,
         )
+
+    def side_logs(self, workload: GeneratedWorkload,
+                  records: list[JobRecord],
+                  behaviors: dict[str, JobBehavior] | None = None,
+                  ) -> dict:
+        """What an archive ingest joins besides the TACC_Stats files,
+        as :meth:`IngestPipeline.ingest` keywords: the accounting log
+        text, the Lariat records and the rationalized syslog stream.
+
+        The offline slow path and the live session both call this, so
+        their side logs agree byte for byte.  *behaviors* (jobid ->
+        behaviour) reuses behaviours a replay has built already;
+        without it each job's behaviour is rebuilt from *workload*.
+        """
+        cfg = self.config
+        acct_buf = io.StringIO()
+        AccountingWriter(acct_buf, cfg.node.cores,
+                         cfg.name).write_all(records)
+        lariat = [lariat_record_for(r, cfg.node.cores) for r in records]
+
+        syslog_gen = SyslogGenerator(self._stream("syslog"), cfg.name)
+        raw = []
+        for record in records:
+            behavior = (behaviors[record.jobid] if behaviors is not None
+                        else self._behavior_for(record, workload))
+            m = max(1, int(np.ceil(record.wall_seconds / cfg.sample_interval)))
+            summary = summarize_job_from_rates(record,
+                                               behavior.rates_matrix(m))
+            raw.extend(syslog_gen.generate_for_job(
+                record,
+                mem_frac_max=summary.get("mem_used_max") / cfg.node.memory_gb,
+                scratch_write_mb=summary.get("io_scratch_write"),
+                cpu_idle_frac=summary.get("cpu_idle"),
+            ))
+        return {"accounting_text": acct_buf.getvalue(),
+                "lariat_records": lariat,
+                "syslog": _rationalize(cfg.name, records, raw)}
 
     # -- fast path ----------------------------------------------------------------
 
@@ -466,17 +411,7 @@ class Facility:
             raw_messages.extend(syslog_gen.generate_background(
                 cfg.num_nodes, cfg.horizon
             ))
-            rationalizer = Rationalizer()
-            for record in sim.records:
-                for ni in record.node_indices:
-                    host = f"c{ni // 100:03d}-{ni % 100:03d}.{cfg.name}"
-                    rationalizer.add_occupancy(
-                        host, record.start_time, record.end_time,
-                        record.jobid,
-                    )
-            rationalizer.finalize()
-            messages, _unknown = rationalizer.rationalize_stream(raw_messages)
-            for msg in messages:
+            for msg in _rationalize(cfg.name, sim.records, raw_messages):
                 warehouse.add_syslog_event(
                     cfg.name, msg.time, msg.host, msg.jobid,
                     msg.kind.value, msg.severity,
@@ -503,9 +438,8 @@ class Facility:
         ingest_mode: str = "full",
         ingest_through_day: int | None = None,
         archive_format: str = "text",
-        synthesis: str = "fast",
     ) -> FacilityRun:
-        """Slow path: daemons write the text format; ingest parses it back.
+        """Slow path: the replay writes the archive; ingest parses it back.
 
         Intended for small configs (``TEST_SYSTEM``-scale): cost is
         O(nodes × samples × collectors).  The per-node replay is
@@ -523,89 +457,45 @@ class Facility:
         always writes the full horizon, but ``ingest_through_day=N``
         consumes only the first N facility days, and a later
         ``ingest_mode="append"`` run folds in just the remainder.
-        *archive_format* selects the daemons' on-disk format
+        *archive_format* selects the on-disk format the replay writes
         (``"text"`` or ``"v2"`` columnar); ingest autodetects per file,
         and both formats produce byte-identical warehouses (asserted by
-        tests and the columnar bench).  *synthesis* selects the replay
-        engine: ``"fast"`` (default) runs the vectorized per-node
-        synthesis (:class:`~repro.tacc_stats.synth.NodeSynth`, batched
-        collector kernels, direct-to-v2 column writes); ``"scalar"``
-        runs the per-sample daemon loop.  Both produce byte-identical
-        archives and warehouses (asserted by property tests).
+        tests and the columnar bench).
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
         cfg = self.config
-        workload, sim, outages, cluster = self._simulate()
+        workload, sim, outages, _cluster = self._simulate()
 
-        replay_args = (
-            cfg, self.seed, workload.users, workload.util_scale,
-            self.phase_calibration, self.regressions, sim.records,
-        )
+        tasks = [
+            (cfg, self.seed, workload.users, workload.util_scale,
+             self.phase_calibration, self.regressions, sim.records, chunk,
+             archive_dir, compress, archive_format)
+            for chunk in _node_chunks(cfg.num_nodes, workers)
+        ]
         with span("facility.replay", system=cfg.name, workers=workers):
-            if workers == 1:
-                archive_stats, replay_metrics = _replay_nodes(
-                    *replay_args, list(range(cfg.num_nodes)), archive_dir,
-                    compress, archive_format, synthesis)
-                get_registry().merge_snapshot(replay_metrics)
+            if len(tasks) == 1:
+                partials = [_replay_nodes(*tasks[0])]
             else:
                 import multiprocessing
 
-                chunks = _node_chunks(cfg.num_nodes, workers)
-                with multiprocessing.Pool(len(chunks)) as pool:
-                    partials = pool.map(_replay_nodes_star, [
-                        (*replay_args, chunk, archive_dir, compress,
-                         archive_format, synthesis)
-                        for chunk in chunks
-                    ])
-                archive_stats = ArchiveStats()
-                for p, snap in partials:
-                    archive_stats.raw_bytes += p.raw_bytes
-                    archive_stats.compressed_bytes += p.compressed_bytes
-                    archive_stats.file_count += p.file_count
-                    archive_stats.host_days += p.host_days
-                    get_registry().merge_snapshot(snap)
+                with multiprocessing.Pool(len(tasks)) as pool:
+                    partials = pool.starmap(_replay_nodes, tasks)
+            archive_stats = ArchiveStats()
+            for p, snap in partials:
+                archive_stats.raw_bytes += p.raw_bytes
+                archive_stats.compressed_bytes += p.compressed_bytes
+                archive_stats.file_count += p.file_count
+                archive_stats.host_days += p.host_days
+                get_registry().merge_snapshot(snap)
         archive = HostArchive(archive_dir, compress=compress)
-
-        # Side logs.
-        acct_buf = io.StringIO()
-        acct = AccountingWriter(acct_buf, cfg.node.cores, cfg.name)
-        acct.write_all(sim.records)
-        lariat_records = [
-            lariat_record_for(r, cfg.node.cores) for r in sim.records
-        ]
-
-        syslog_gen = SyslogGenerator(self._stream("syslog"), cfg.name)
-        raw = []
-        for record in sim.records:
-            behavior = self._behavior_for(record, workload)
-            m = max(1, int(np.ceil(record.wall_seconds / cfg.sample_interval)))
-            rates = behavior.rates_matrix(m)
-            summary = summarize_job_from_rates(record, rates)
-            raw.extend(syslog_gen.generate_for_job(
-                record,
-                mem_frac_max=summary.get("mem_used_max") / cfg.node.memory_gb,
-                scratch_write_mb=summary.get("io_scratch_write"),
-                cpu_idle_frac=summary.get("cpu_idle"),
-            ))
-        rationalizer = Rationalizer()
-        for record in sim.records:
-            for ni in record.node_indices:
-                rationalizer.add_occupancy(
-                    cluster.nodes[ni].hostname, record.start_time,
-                    record.end_time, record.jobid,
-                )
-        rationalizer.finalize()
-        messages, _ = rationalizer.rationalize_stream(raw)
 
         warehouse = warehouse or Warehouse()
         pipeline = IngestPipeline(warehouse)
         report = pipeline.ingest(
             cfg,
-            accounting_text=acct_buf.getvalue(),
             archive=archive,
-            lariat_records=lariat_records,
-            syslog=messages,
+            **self.side_logs(workload, sim.records),
             workers=ingest_workers,
             batch_size=batch_size,
             error_policy=error_policy,

@@ -82,7 +82,6 @@ def _run_shard(cluster: str, config: FacilityConfig, seed: int,
                 ingest_mode="append" if append else "full",
                 ingest_through_day=knobs.get("through_day"),
                 archive_format=knobs.get("archive_format", "text"),
-                synthesis=knobs.get("synthesis", "fast"),
             )
         else:
             run = facility.run(
@@ -146,8 +145,8 @@ class FederatedFacility:
         ``shard_workers > 1`` fans shards over a process pool; the
         remaining *knobs* (``workers``, ``ingest_workers``,
         ``batch_size``, ``error_policy``, ``max_retries``, ``append``,
-        ``through_day``, ``archive_format``, ``synthesis``,
-        ``fast_writes``, ``with_syslog``) forward to each shard's run
+        ``through_day``, ``archive_format``, ``fast_writes``,
+        ``with_syslog``) forward to each shard's run
         exactly as ``repro-simulate`` would pass them.
         """
         if shard_workers < 1:

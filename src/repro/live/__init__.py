@@ -4,9 +4,10 @@ between-query rate views.
 The batch pipeline turns a finished study period into a warehouse; this
 package turns the same machinery into something an operator *watches*:
 
-* :class:`~repro.live.runner.LiveReplay` drives the per-node daemons
-  incrementally, emitting samples into rolling archive segments
-  (sub-day ``rotate_seconds`` cadence) instead of one offline pass.
+* :class:`~repro.live.runner.LiveReplay` drives the per-node
+  TACC_Stats processes incrementally, emitting samples into rolling
+  archive segments (sub-day ``rotate_seconds`` cadence); the offline
+  slow path advances the same driver in one pass.
 * :class:`~repro.live.runner.LiveSession` micro-batches each completed
   segment through the ordinary watermark ledger
   (``ingest(mode="append")``), refreshes the rolling snapshot in

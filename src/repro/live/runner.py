@@ -1,14 +1,18 @@
-"""The streaming runner and micro-batcher behind live mode.
+"""The one replay driver, and the micro-batcher behind live mode.
 
-:class:`LiveReplay` is the incremental counterpart of the offline
-per-node daemon replay in :mod:`repro.facility`: the same daemons, the
-same per-node RNG streams, the same same-instant event ordering
-(end < periodic tick < begin) — but driven by :meth:`LiveReplay.advance`
-calls instead of one pass over the whole horizon.  Because each node's
-event sequence is processed in the identical order, the archive bytes
-are identical to an offline replay at the same rotation period; that is
-what makes live micro-batch ingest byte-identical to a one-shot append
-(property-tested in ``tests/live``).
+:class:`LiveReplay` drives a set of nodes' TACC_Stats processes
+(:class:`~repro.tacc_stats.synth.NodeSynth`) over the facility's
+events: periodic ticks plus job begin/end, in one same-instant order
+(end < periodic tick < begin).  :meth:`LiveReplay.advance` processes
+every event up to a time bound, node by node.  The offline slow path
+(:meth:`repro.facility.Facility.run_with_files`) builds one replay per
+worker's node chunk and advances it to the horizon in a single call;
+live mode advances the replay of every node one micro-batch at a time.
+Each node's events fire in the same order either way and its engine
+carries its collector state across the cuts, so the archive bytes at a
+given rotation period do not depend on how the horizon is sliced.
+That is what makes live micro-batch ingest byte-identical to a one-shot
+append (property-tested in ``tests/live``).
 
 :class:`LiveSession` wraps the replay in the operator loop: advance to
 the next segment boundary, flush completed segments to disk, push them
@@ -20,25 +24,20 @@ rolling warehouse snapshot in place.  Telemetry lands under ``live.*``
 
 from __future__ import annotations
 
-import io
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro.cluster.node import Node, node_hostname
 from repro.config import FacilityConfig
-from repro.facility import Facility, _build_behavior, _noise_stream_factory
+from repro.facility import Facility, _build_behavior
 from repro.ingest.pipeline import DeltaSummary, IngestPipeline
-from repro.ingest.summarize import summarize_job_from_rates
 from repro.ingest.warehouse import Warehouse
-from repro.lariat.records import lariat_record_for
 from repro.live.rates import COUNTER_WRAP_BITS
-from repro.scheduler.accounting import AccountingWriter
 from repro.scheduler.job import JobRecord
-from repro.syslogr.generator import SyslogGenerator
-from repro.syslogr.rationalizer import Rationalizer
 from repro.tacc_stats.archive import HostArchive
-from repro.tacc_stats.daemon import TaccStatsDaemon
 from repro.tacc_stats.synth import NodeSynth
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.trace import span
@@ -66,42 +65,50 @@ LIVE_REFRESH_BUCKETS: tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0, 5.0,
 )
 
+#: Same-instant event order: a back-to-back allocation (the next job
+#: starts the second the previous one releases the node) replays as
+#: end, then the periodic tick, then begin.
+_END, _TICK, _BEGIN = 0, 1, 2
+
 
 class LiveReplay:
-    """Drive every node's daemon incrementally into a shared archive.
+    """Drive the TACC_Stats processes of a set of nodes into a shared
+    archive.
 
-    Construction precomputes exactly what the offline replay would:
-    per-node event lists (periodic ticks plus job begin/end, sorted
-    with the same same-instant ordering) and per-job behaviours.
-    :meth:`advance` then processes each node's events up to and
-    including a time bound, so successive calls replay the horizon in
-    monotonic slices.
+    *nodes* (default: every node) is the node subset this replay owns;
+    its files are written by no one else, so concurrent replays of
+    disjoint chunks never touch the same path.  Construction builds each
+    node's sorted event list and the behaviour of every job that touches
+    one of its nodes.  :meth:`advance` then processes each node's events
+    up to and including a time bound, so successive calls replay the
+    horizon in monotonic slices.
+
+    Every collector draws from a noise stream named
+    ``<prefix>/noise/<node>/<collector>``, so a node's bytes are fully
+    determined by (seed, node, collector) and byte-identical under any
+    split of the nodes across replays.
     """
 
     def __init__(self, cfg: FacilityConfig, seed: int, users: dict,
                  util_scale: float, phase_calibration: dict | None,
                  regressions: tuple, records: list[JobRecord],
-                 archive: HostArchive, synthesis: str = "fast"):
-        from repro.cluster.node import Node
-
-        if synthesis not in ("fast", "scalar"):
-            raise ValueError(
-                f"synthesis must be 'fast' or 'scalar', got {synthesis!r}")
+                 archive: HostArchive, nodes: Iterable[int] | None = None):
         rng_factory = RngFactory(seed)
         prefix = cfg.stream_prefix
-        self.archive = archive
-        self.synthesis = synthesis
-        per_node: dict[int, list[tuple[float, float, JobRecord, int]]] = {}
+        node_indices = (range(cfg.num_nodes) if nodes is None
+                        else list(nodes))
+        wanted = set(node_indices)
+        per_node: dict[int, list[tuple[JobRecord, int]]] = {}
         for record in records:
             for slot, ni in enumerate(record.node_indices):
-                per_node.setdefault(ni, []).append(
-                    (record.start_time, record.end_time, record, slot)
-                )
-        #: jobid -> behaviour, shared with the session's counter source.
+                if ni in wanted:
+                    per_node.setdefault(ni, []).append((record, slot))
+        #: jobid -> behaviour of every job on these nodes, shared with
+        #: the session's counter source.
         self.behaviors = {
             r.jobid: _build_behavior(cfg, users, util_scale,
                                      phase_calibration, regressions, r)
-            for r in records
+            for r in records if not wanted.isdisjoint(r.node_indices)
         }
 
         ticks = aligned_samples(0.0, cfg.horizon, cfg.sample_interval)
@@ -109,40 +116,28 @@ class LiveReplay:
             fs.name for fs in cfg.filesystems if fs.kind == "lustre"
         ) or ("scratch",)
         nfs = tuple(fs.name for fs in cfg.filesystems if fs.kind == "nfs")
-        #: [daemon, sorted events, next-event index] per node.
+        #: [engine, sorted events, next-event index] per node.
         self._nodes: list[list] = []
-        for ni in range(cfg.num_nodes):
-            node = Node(
-                index=ni,
-                hostname=f"c{ni // 100:03d}-{ni % 100:03d}.{cfg.name}",
-                hardware=cfg.node)
-            noise = _noise_stream_factory(rng_factory, prefix, ni)
-            if synthesis == "fast":
-                daemon = NodeSynth(node, noise, archive,
-                                   lustre_mounts=lustre, nfs_mounts=nfs)
-            else:
-                daemon = TaccStatsDaemon(
-                    node,
-                    noise,
-                    writer=lambda t, h=node.hostname: archive.writer(h, t),
-                    lustre_mounts=lustre,
-                    nfs_mounts=nfs,
-                )
-            events: list[tuple[float, int, object]] = [
-                (t, 1, None) for t in ticks
+        for ni in node_indices:
+            node = Node(index=ni, hostname=node_hostname(cfg.name, ni),
+                        hardware=cfg.node)
+            engine = NodeSynth(
+                node,
+                lambda name, ni=ni: rng_factory.stream(
+                    f"{prefix}/noise/{ni}/{name}"),
+                archive, lustre_mounts=lustre, nfs_mounts=nfs)
+            events: list[tuple[float, int, JobRecord | None, int]] = [
+                (t, _TICK, None, 0) for t in ticks
             ]
-            for start, end, record, slot in per_node.get(ni, []):
-                if end > start:
-                    events.append((start, 2, ("begin", record, slot)))
-                    events.append((end, 0, ("end", record)))
-                else:
-                    # Zero-duration allocation (a job truncated at the
-                    # horizon): its end would sort *before* its begin
-                    # under the same-instant rule, so fire both back to
-                    # back.
-                    events.append((start, 2, ("beginend", record, slot)))
+            for record, slot in per_node.get(ni, []):
+                events.append((record.start_time, _BEGIN, record, slot))
+                # A zero-duration allocation (a job truncated at the
+                # horizon) ends in its begin event: its end would sort
+                # *before* its begin under the same-instant order.
+                if record.end_time > record.start_time:
+                    events.append((record.end_time, _END, record, slot))
             events.sort(key=lambda e: (e[0], e[1]))
-            self._nodes.append([daemon, events, 0])
+            self._nodes.append([engine, events, 0])
         self.clock = 0.0
 
     def advance(self, until: float) -> int:
@@ -153,28 +148,25 @@ class LiveReplay:
                 f"cannot advance backwards ({until} < {self.clock})")
         fired = 0
         for state in self._nodes:
-            daemon, events, ptr = state
+            engine, events, ptr = state
             while ptr < len(events) and events[ptr][0] <= until:
-                t, kind, payload = events[ptr]
-                if kind == 1:
-                    daemon.sample(t)
-                elif kind == 2:
-                    tag, record, slot = payload
-                    daemon.begin_job(record.jobid, t,
+                t, kind, record, slot = events[ptr]
+                if kind == _TICK:
+                    engine.sample(t)
+                elif kind == _BEGIN:
+                    engine.begin_job(record.jobid, t,
                                      self.behaviors[record.jobid], slot)
-                    if tag == "beginend":
-                        daemon.end_job(record.jobid, t)
+                    if record.end_time <= record.start_time:
+                        engine.end_job(record.jobid, t)
                 else:
-                    _tag, record = payload
-                    daemon.end_job(record.jobid, t)
+                    engine.end_job(record.jobid, t)
                 ptr += 1
                 fired += 1
             state[2] = ptr
-            if self.synthesis == "fast":
-                # Materialize the batch before the caller closes segment
-                # files — the synthesis engine buffers queued samples
-                # until a job-begin boundary or an explicit flush.
-                daemon.flush()
+            # Materialize the batch before the caller closes segment
+            # files: the engine buffers queued samples until a job-begin
+            # boundary or an explicit flush.
+            engine.flush()
         self.clock = until
         return fired
 
@@ -222,14 +214,15 @@ class LiveSession:
     files, appends them through the watermark ledger, upserts the
     per-job cumulative counters, and refreshes the rolling snapshot.
     The accounting/Lariat/syslog side logs are produced once up front
-    (exactly as the offline path would have) — the ledger's watermarks
-    and job deferral are what window them per batch.
+    by :meth:`Facility.side_logs`, exactly as the offline path produces
+    them — the ledger's watermarks and job deferral are what window
+    them per batch.
     """
 
     def __init__(self, facility: Facility, archive_dir: str,
                  warehouse: Warehouse | None = None,
                  segment_seconds: int = HOUR, batch_segments: int = 1,
-                 compress: bool = True, synthesis: str = "fast"):
+                 compress: bool = True):
         seg = int(segment_seconds)
         if seg <= 0 or seg != segment_seconds:
             raise ValueError(f"segment_seconds must be a positive whole "
@@ -242,47 +235,16 @@ class LiveSession:
         self.segment_seconds = seg
         self.batch_segments = batch_segments
         self.warehouse = warehouse or Warehouse()
-        workload, sim, outages, cluster = facility._simulate()
+        workload, sim, _outages, _cluster = facility._simulate()
         self.sim = sim
         self.archive = HostArchive(archive_dir, compress=compress,
                                    rotate_seconds=seg)
         self.replay = LiveReplay(
             cfg, facility.seed, workload.users, workload.util_scale,
             facility.phase_calibration, facility.regressions,
-            sim.records, self.archive, synthesis=synthesis)
-
-        acct_buf = io.StringIO()
-        AccountingWriter(acct_buf, cfg.node.cores,
-                         cfg.name).write_all(sim.records)
-        self.accounting_text = acct_buf.getvalue()
-        self.lariat = [lariat_record_for(r, cfg.node.cores)
-                       for r in sim.records]
-
-        # Same recipe (and RNG stream order) as the offline slow path,
-        # so a live session and Facility.run_with_files agree bytewise.
-        syslog_gen = SyslogGenerator(facility._stream("syslog"), cfg.name)
-        raw = []
-        for record in sim.records:
-            behavior = self.replay.behaviors[record.jobid]
-            m = max(1, int(np.ceil(
-                record.wall_seconds / cfg.sample_interval)))
-            rates = behavior.rates_matrix(m)
-            summary = summarize_job_from_rates(record, rates)
-            raw.extend(syslog_gen.generate_for_job(
-                record,
-                mem_frac_max=summary.get("mem_used_max")
-                / cfg.node.memory_gb,
-                scratch_write_mb=summary.get("io_scratch_write"),
-                cpu_idle_frac=summary.get("cpu_idle"),
-            ))
-        rationalizer = Rationalizer()
-        for record in sim.records:
-            for ni in record.node_indices:
-                rationalizer.add_occupancy(
-                    cluster.nodes[ni].hostname, record.start_time,
-                    record.end_time, record.jobid)
-        rationalizer.finalize()
-        self.syslog, _ = rationalizer.rationalize_stream(raw)
+            sim.records, self.archive)
+        self.side_logs = facility.side_logs(workload, sim.records,
+                                            self.replay.behaviors)
 
         self.pipeline = IngestPipeline(self.warehouse)
         self.n_segments = int(cfg.horizon // seg) + 1
@@ -370,13 +332,7 @@ class LiveSession:
             else:
                 self.archive.flush_before(t_end)
             report = self.pipeline.ingest(
-                cfg,
-                accounting_text=self.accounting_text,
-                archive=self.archive,
-                lariat_records=self.lariat,
-                syslog=self.syslog,
-                mode="append",
-            )
+                cfg, archive=self.archive, mode="append", **self.side_logs)
             counter_rows = self._publish_counters(t_end)
             start = time.perf_counter()
             self.snapshot = WarehouseSnapshot.for_warehouse(

@@ -1,7 +1,7 @@
 """TACC_Stats reproduction: job-aware, per-node resource measurement.
 
-The collector suite mirrors the original tool (paper §3): one "binary"
-(:class:`TaccStatsDaemon`) runs on every node at job begin, every ten
+The collector suite mirrors the original tool (paper §3): one per-node
+process (:class:`NodeSynth`) is invoked at job begin, every ten
 minutes, and at job end; it samples per-core CPU, per-socket memory and
 NUMA, VM activity, network/block devices, InfiniBand, Lustre (per mount),
 Lustre networking, process stats, SysV IPC, IRQs, ram-backed filesystems,
@@ -11,10 +11,10 @@ plain-text format tagged with batch job ids.
 """
 
 from repro.tacc_stats.archive import ArchiveStats, HostArchive
-from repro.tacc_stats.daemon import SampleContext, TaccStatsDaemon
 from repro.tacc_stats.format import StatsWriter
 from repro.tacc_stats.parser import ParseError, parse_host_text
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
+from repro.tacc_stats.synth import NodeSynth
 from repro.tacc_stats.types import HostData, Mark, TimestampBlock
 
 __all__ = [
@@ -26,8 +26,7 @@ __all__ = [
     "StatsWriter",
     "parse_host_text",
     "ParseError",
-    "TaccStatsDaemon",
-    "SampleContext",
+    "NodeSynth",
     "HostArchive",
     "ArchiveStats",
 ]

@@ -20,6 +20,12 @@ The archive tracks raw and compressed byte counts so the paper's volume
 claims (0.5 MB/node/day raw, ~3x gzip) can be measured directly
 (``bench_data_volume``).
 
+Every file lands atomically: its bytes go to a hidden temporary file
+in the same directory (``.<name>.tmp``, which no reader lists), then
+``os.replace`` renames it into place.  A writer killed mid-close leaves
+the previous version or nothing, never a torn file for the next
+manifest to fingerprint.
+
 Formats are detected per file, so text and v2 host-days coexist in one
 root (e.g. mid-conversion, or a v2 archive quarantining an unconvertible
 text day).  ``archive_format="v2"`` makes the *writer* emit columnar
@@ -32,6 +38,7 @@ import gzip
 import hashlib
 import io
 import json
+import os
 from collections.abc import Callable, Collection
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,11 +65,28 @@ from repro.telemetry.trace import span
 from repro.util.timeutil import DAY, period_label
 
 __all__ = ["HostArchive", "ArchiveStats", "HostReadResult",
-           "FileFingerprint", "ARCHIVE_META_FILENAME"]
+           "FileFingerprint", "ARCHIVE_META_FILENAME", "is_temp_name"]
 
 #: Root sidecar recording a non-default rotation period, so reopening a
 #: segmented archive infers its cadence without a knob.
 ARCHIVE_META_FILENAME = "archive.json"
+
+
+def is_temp_name(name: str) -> bool:
+    """Whether *name* is an in-flight temporary file of an atomic write."""
+    return name.startswith(".") and name.endswith(".tmp")
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write *data* to *path* so readers see the old file or the whole
+    new one, never a torn one."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        # Only still there if the write or the rename failed.
+        tmp.unlink(missing_ok=True)
 
 
 def _file_day(path: Path) -> str:
@@ -231,8 +255,8 @@ class HostArchive:
                     f"it with rotate_seconds={rotate}")
             rotate = stored
         elif rotate != DAY:
-            meta_path.write_text(
-                json.dumps({"rotate_seconds": rotate}) + "\n")
+            _write_atomic(meta_path, (json.dumps(
+                {"rotate_seconds": rotate}) + "\n").encode())
         self.rotate_seconds = rotate
         self.compress = compress
         self.archive_format = archive_format
@@ -350,20 +374,17 @@ class HostArchive:
             if data is None:
                 data = encode_host_text(text, source_sha256=sha,
                                         source_kind=kind)
-            path.write_bytes(data)
-            stored = len(data)
         elif self.compress:
             path = of.path.with_suffix(of.path.suffix + ".gz")
             # mtime=0 keeps the stored bytes a pure function of the
             # content, so the manifest's sha256 is stable across
             # re-writes of identical data (append mode depends on it).
             data = gzip.compress(raw, compresslevel=6, mtime=0)
-            path.write_bytes(data)
-            stored = len(data)
         else:
             path = of.path
-            path.write_text(text)
-            stored = len(raw)
+            data = raw
+        _write_atomic(path, data)
+        stored = len(data)
         stats = self.stats
         counted = self._counted.pop(path, None)
         if counted is not None:
@@ -381,7 +402,7 @@ class HostArchive:
         registry = get_registry()
         registry.counter("archive.files_written").inc()
         registry.counter("archive.bytes_raw").inc(len(raw))
-        registry.counter("archive.bytes_compressed").inc(stored)
+        registry.counter("archive.bytes_stored").inc(stored)
 
     def close(self) -> ArchiveStats:
         """Flush all open files; returns the final volume accounting."""
@@ -410,6 +431,8 @@ class HostArchive:
             return []
         by_day: dict[str, Path] = {}
         for p in sorted(hostdir.iterdir()):
+            if is_temp_name(p.name):
+                continue  # a write killed before its rename
             day = _file_day(p)
             prev = by_day.get(day)
             if prev is None or _FORMAT_RANK[_suffix_kind(p)] > \

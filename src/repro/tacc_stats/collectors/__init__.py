@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.cluster.node import Node
 from repro.tacc_stats.collectors.amd64_pmc import Amd64PmcCollector
-from repro.tacc_stats.collectors.base import Collector, SampleContext
+from repro.tacc_stats.collectors.base import BlockContext, Collector
 from repro.tacc_stats.collectors.block import BlockCollector
 from repro.tacc_stats.collectors.cpu import CpuCollector
 from repro.tacc_stats.collectors.ib import IbCollector
@@ -41,8 +41,8 @@ from repro.tacc_stats.collectors.vfs import VfsCollector
 from repro.tacc_stats.collectors.vm import VmCollector
 
 __all__ = [
+    "BlockContext",
     "Collector",
-    "SampleContext",
     "build_collectors",
     "CpuCollector",
     "MemCollector",

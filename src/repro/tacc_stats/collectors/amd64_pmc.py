@@ -20,8 +20,6 @@ import numpy as np
 from repro.tacc_stats.collectors.base import (
     BlockContext,
     Collector,
-    SampleContext,
-    core_fractions,
     core_fractions_block,
 )
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
@@ -72,41 +70,8 @@ class Amd64PmcCollector(Collector):
             if self._user_programmed
             else [AMD64_EVENT_CODES[e] for e in self.node.hardware.processor.pmc_events]
         )
-        for dev in self.devices:
-            acc = self._acc[dev]
-            acc[:4] = codes
-            acc[4:] = 0.0
-
-    def advance(self, ctx: SampleContext) -> None:
-        dt = ctx.dt
-        if dt <= 0 or ctx.rates is None:
-            return
-        if self._user_programmed:
-            # Foreign events tick at an unrelated rate (cycles unhalted).
-            clock = self.node.hardware.processor.clock_ghz * 1e9
-            for dev in self.devices:
-                for i in range(4):
-                    self.bump(dev, f"ctr{i}", 0.25 * clock * dt)
-            return
-        n = self.node.hardware.cores
-        user_f = ctx.rate("cpu_user_frac")
-        active = core_fractions(user_f, n)
-        total_active = max(active.sum(), 1e-9)
-
-        node_flops = ctx.rate("flops_gf") * 1e9
-        # Memory traffic: working-set churn plus I/O through the cache.
-        dram_bytes = node_flops * 0.8 + ctx.rate("mem_used_gb") * 1e7
-        ht_bytes = (ctx.rate("net_mpi_mb") * 1e6) * 1.5
-
-        for c, dev in enumerate(self.devices):
-            share = active[c] / total_active
-            self.bump(dev, "ctr0", self.noisy(node_flops * share * dt))
-            self.bump(dev, "ctr1",
-                      self.noisy(dram_bytes * share / _CACHE_LINE * dt))
-            self.bump(dev, "ctr2",
-                      self.noisy(dram_bytes * share * 0.3 / _CACHE_LINE * dt))
-            self.bump(dev, "ctr3",
-                      self.noisy(ht_bytes * share / _CACHE_LINE * dt))
+        self._acc[:, :4] = codes
+        self._acc[:, 4:] = 0.0
 
     def sample_block(self, block: BlockContext) -> np.ndarray:
         # _user_programmed is constant inside a block: it only changes in
@@ -115,6 +80,7 @@ class Amd64PmcCollector(Collector):
         dt = np.asarray(block.dts, dtype=np.float64)
         inc = np.zeros((block.n, n, self._schema.n_values))
         if self._user_programmed:
+            # Foreign events tick at an unrelated rate (cycles unhalted).
             clock = self.node.hardware.processor.clock_ghz * 1e9
             tick = np.where((~block.idle) & (dt > 0), 0.25 * clock * dt, 0.0)
             inc[:, :, 4:] = tick[:, None, None]
@@ -123,10 +89,13 @@ class Amd64PmcCollector(Collector):
             total_active = np.maximum(active.sum(axis=1), 1e-9)
             share = active / total_active[:, None]
             node_flops = block.rate("flops_gf") * 1e9
+            # Memory traffic: working-set churn plus I/O through the
+            # cache.
             dram_bytes = node_flops * 0.8 + block.rate("mem_used_gb") * 1e7
             ht_bytes = (block.rate("net_mpi_mb") * 1e6) * 1.5
             # Idle and dt <= 0 rows end up with zero amounts (share or dt
-            # is zero), which matches the scalar guard's early return.
+            # is zero), so they draw nothing and count nothing.  Draw
+            # order: time-major, then per core ctr0..ctr3.
             ds = dram_bytes[:, None] * share
             amounts = np.stack([
                 node_flops[:, None] * share * dt[:, None],

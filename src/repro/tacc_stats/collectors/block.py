@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tacc_stats.collectors.base import BlockContext, Collector, SampleContext
+from repro.tacc_stats.collectors.base import BlockContext, Collector
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
 
 __all__ = ["BlockCollector"]
@@ -35,23 +35,10 @@ class BlockCollector(Collector):
     def build_devices(self) -> tuple[str, ...]:
         return self.node.hardware.block_devices
 
-    def advance(self, ctx: SampleContext) -> None:
-        dt = ctx.dt
-        if dt <= 0:
-            return
-        mb = ctx.rate("block_mb", 0.005)  # syslog etc. trickle when idle
-        per_dev = mb / len(self.devices)
-        for dev in self.devices:
-            wb = self.noisy(per_dev * 0.7 * 1e6 * dt)
-            rb = self.noisy(per_dev * 0.3 * 1e6 * dt)
-            self.bump(dev, "wr_sectors", wb / _SECTOR)
-            self.bump(dev, "rd_sectors", rb / _SECTOR)
-            self.bump(dev, "wr_ios", wb / _IO_BYTES)
-            self.bump(dev, "rd_ios", rb / _IO_BYTES)
-
     def sample_block(self, block: BlockContext) -> np.ndarray:
         dt = np.asarray(block.dts, dtype=np.float64)
         n_dev = len(self.devices)
+        # syslog etc. trickle when idle
         per_dev = block.rate("block_mb", 0.005) / n_dev
         # Per sample, per device: write then read draws.
         amounts = np.repeat(

@@ -2,7 +2,7 @@
 
 Values are cumulative centiseconds per core.  Node-level busy fractions
 from the job behaviour are distributed across cores fill-first (see
-:func:`repro.tacc_stats.collectors.base.core_fractions`): this is what
+:func:`repro.tacc_stats.collectors.base.core_fractions_block`): this is what
 gives TACC_Stats its per-core resolution of undersubscribed jobs.
 """
 
@@ -13,8 +13,6 @@ import numpy as np
 from repro.tacc_stats.collectors.base import (
     BlockContext,
     Collector,
-    SampleContext,
-    core_fractions,
     core_fractions_block,
 )
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
@@ -46,52 +44,18 @@ class CpuCollector(Collector):
     def build_devices(self) -> tuple[str, ...]:
         return tuple(str(i) for i in range(self.node.hardware.cores))
 
-    def advance(self, ctx: SampleContext) -> None:
-        n = self.node.hardware.cores
-        dt_cs = ctx.dt * 100.0
-        if dt_cs <= 0:
-            return
-        user_f = ctx.rate("cpu_user_frac")
-        sys_f = ctx.rate("cpu_sys_frac", _IDLE_SYS_FRAC)
-        wait_f = ctx.rate("cpu_iowait_frac")
-        # System time is spread by the kernel across all cores, so each
-        # core only has (1 - sys) capacity for user time; iowait fills
-        # from the top (idle-side) cores.  This keeps the node-level
-        # column sums exactly at the requested fractions — naive
-        # fill-first would oversubscribe the busy cores and the clip
-        # below would silently convert user time into idle.
-        sys_c = min(sys_f, 1.0)
-        cap = max(1.0 - sys_c, 1e-6)
-        per_core_user = core_fractions(min(user_f / cap, 1.0), n) * cap
-        per_core_sys = np.full(n, sys_c)
-        per_core_wait = core_fractions(min(wait_f / cap, 1.0), n)[::-1] * cap
-        irq_f = _IDLE_IRQ_FRAC
-
-        for c in range(n):
-            dev = str(c)
-            u = self.noisy(per_core_user[c] * dt_cs)
-            s = self.noisy(per_core_sys[c] * dt_cs)
-            w = self.noisy(per_core_wait[c] * dt_cs)
-            irq = irq_f * dt_cs
-            soft = 0.5 * irq
-            busy = u + s + w + irq + soft
-            if busy > dt_cs:
-                scale = dt_cs / busy
-                u, s, w, irq, soft = (x * scale for x in (u, s, w, irq, soft))
-                busy = dt_cs
-            self.bump(dev, "user", u)
-            self.bump(dev, "system", s)
-            self.bump(dev, "iowait", w)
-            self.bump(dev, "irq", irq)
-            self.bump(dev, "softirq", soft)
-            self.bump(dev, "idle", dt_cs - busy)
-
     def sample_block(self, block: BlockContext) -> np.ndarray:
         n = self.node.hardware.cores
         dt_cs = np.asarray(block.dts, dtype=np.float64) * 100.0
         user_f = block.rate("cpu_user_frac")
         sys_f = block.rate("cpu_sys_frac", _IDLE_SYS_FRAC)
         wait_f = block.rate("cpu_iowait_frac")
+        # System time is spread by the kernel across all cores, so each
+        # core only has (1 - sys) capacity for user time; iowait fills
+        # from the top (idle-side) cores.  This keeps the node-level
+        # column sums exactly at the requested fractions — naive
+        # fill-first would oversubscribe the busy cores and the clip
+        # below would silently convert user time into idle.
         sys_c = np.minimum(sys_f, 1.0)
         cap = np.maximum(1.0 - sys_c, 1e-6)
         per_core_user = (
@@ -101,10 +65,9 @@ class CpuCollector(Collector):
         per_core_wait = (
             core_fractions_block(np.minimum(wait_f / cap, 1.0), n)[:, ::-1]
             * cap[:, None])
-        # Draw order matches the scalar loop: time-major, then per core
-        # the (user, system, iowait) triple.  dt <= 0 rows contribute
-        # zero amounts, so — like the scalar early return — they draw
-        # nothing and bump nothing.
+        # Draw order: time-major, then per core the (user, system,
+        # iowait) triple.  dt <= 0 rows contribute zero amounts, so they
+        # draw nothing and add nothing.
         amounts = (
             np.stack([per_core_user, per_core_sys, per_core_wait], axis=-1)
             * dt_cs[:, None, None])

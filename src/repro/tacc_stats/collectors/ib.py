@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tacc_stats.collectors.base import BlockContext, Collector, SampleContext
+from repro.tacc_stats.collectors.base import BlockContext, Collector
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
 from repro.workload.behavior import DerivedRates
 
@@ -47,25 +47,9 @@ class IbCollector(Collector):
     def build_devices(self) -> tuple[str, ...]:
         return self.node.hardware.ib_devices
 
-    def advance(self, ctx: SampleContext) -> None:
-        dt = ctx.dt
-        if dt <= 0:
-            return
-        if ctx.rates is None:
-            tx_mb = rx_mb = 0.01  # subnet manager chatter
-        else:
-            tx_mb = float(DerivedRates.ib_tx_mb(ctx.rates))
-            rx_mb = float(DerivedRates.ib_rx_mb(ctx.rates))
-        for dev in self.devices:
-            tx_b = self.noisy(tx_mb * 1e6 * dt)
-            rx_b = self.noisy(rx_mb * 1e6 * dt)
-            self.bump(dev, "port_xmit_data", tx_b / _WORD)
-            self.bump(dev, "port_rcv_data", rx_b / _WORD)
-            self.bump(dev, "port_xmit_pkts", tx_b / _MTU)
-            self.bump(dev, "port_rcv_pkts", rx_b / _MTU)
-
     def sample_block(self, block: BlockContext) -> np.ndarray:
         dt = np.asarray(block.dts, dtype=np.float64)
+        # Idle nodes still carry subnet manager chatter.
         tx_mb = np.where(block.idle, 0.01, DerivedRates.ib_tx_mb(block.rates))
         rx_mb = np.where(block.idle, 0.01, DerivedRates.ib_rx_mb(block.rates))
         n_dev = len(self.devices)

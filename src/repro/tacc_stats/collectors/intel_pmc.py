@@ -17,8 +17,6 @@ import numpy as np
 from repro.tacc_stats.collectors.base import (
     BlockContext,
     Collector,
-    SampleContext,
-    core_fractions,
     core_fractions_block,
 )
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
@@ -74,42 +72,9 @@ class IntelPmcCollector(Collector):
             if self._user_programmed
             else [INTEL_EVENT_CODES[e] for e in self.node.hardware.processor.pmc_events]
         )
-        for dev in self.devices:
-            acc = self._acc[dev]
-            acc[0] = 0.0          # FIXED_CTR0
-            acc[1:4] = codes      # ctl0-2
-            acc[4:] = 0.0         # ctr0-2
-
-    def advance(self, ctx: SampleContext) -> None:
-        dt = ctx.dt
-        if dt <= 0 or ctx.rates is None:
-            return
-        clock = self.node.hardware.processor.clock_ghz * 1e9
-        n = self.node.hardware.cores
-        user_f = ctx.rate("cpu_user_frac")
-        active = core_fractions(user_f, n)
-        total_active = max(active.sum(), 1e-9)
-
-        if self._user_programmed:
-            for c, dev in enumerate(self.devices):
-                ipc = 1.1 * active[c]
-                self.bump(dev, "FIXED_CTR0", ipc * clock * dt)
-                for i in range(3):
-                    self.bump(dev, f"ctr{i}", active[c] * clock * dt)
-            return
-
-        node_flops = ctx.rate("flops_gf") * 1e9
-        qpi_bytes = (ctx.rate("net_mpi_mb") * 1e6) * 1.5 + ctx.rate("mem_used_gb") * 1e7
-        for c, dev in enumerate(self.devices):
-            share = active[c] / total_active
-            ipc = 1.1 * active[c]
-            self.bump(dev, "FIXED_CTR0", self.noisy(ipc * clock * dt))
-            self.bump(dev, "ctr0",
-                      self.noisy(node_flops * FP_OVERCOUNT * share * dt))
-            self.bump(dev, "ctr1",
-                      self.noisy(qpi_bytes * share / _CACHE_LINE * dt))
-            self.bump(dev, "ctr2",
-                      self.noisy(0.35 * clock * active[c] * dt))
+        self._acc[:, 0] = 0.0          # FIXED_CTR0
+        self._acc[:, 1:4] = codes      # ctl0-2
+        self._acc[:, 4:] = 0.0         # ctr0-2
 
     def sample_block(self, block: BlockContext) -> np.ndarray:
         # _user_programmed is constant inside a block (see amd64_pmc).
@@ -119,8 +84,7 @@ class IntelPmcCollector(Collector):
         active = core_fractions_block(block.rate("cpu_user_frac"), n)
         inc = np.zeros((block.n, n, self._schema.n_values))
         if self._user_programmed:
-            # Idle rows have active == 0, so they contribute nothing —
-            # same as the scalar guard.
+            # Idle rows have active == 0, so they count nothing.
             ipc = 1.1 * active
             mask = ((~block.idle) & (dt > 0)).astype(np.float64)
             inc[:, :, 0] = ipc * clock * dt[:, None] * mask[:, None]
@@ -132,6 +96,8 @@ class IntelPmcCollector(Collector):
             qpi_bytes = (block.rate("net_mpi_mb") * 1e6) * 1.5 \
                 + block.rate("mem_used_gb") * 1e7
             ipc = 1.1 * active
+            # Draw order: time-major, then per core FIXED_CTR0 and
+            # ctr0..ctr2.
             amounts = np.stack([
                 ipc * clock * dt[:, None],
                 node_flops[:, None] * FP_OVERCOUNT * share * dt[:, None],

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tacc_stats.collectors.base import BlockContext, Collector, SampleContext
+from repro.tacc_stats.collectors.base import BlockContext, Collector
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
 from repro.workload.behavior import DerivedRates
 
@@ -35,25 +35,6 @@ class IrqCollector(Collector):
     def build_devices(self) -> tuple[str, ...]:
         return ("-",)
 
-    def advance(self, ctx: SampleContext) -> None:
-        dt = ctx.dt
-        if dt <= 0:
-            return
-        cores = self.node.hardware.cores
-        self.bump("-", "timer", _TIMER_HZ * cores * dt)
-        eth_mb = ctx.rate("net_eth_mb", 0.002)
-        self.bump("-", "eth", self.noisy(eth_mb * 1e6 / _ETH_MTU * dt))
-        if ctx.rates is None:
-            ib_mb = 0.01
-        else:
-            ib_mb = float(
-                DerivedRates.ib_tx_mb(ctx.rates) + DerivedRates.ib_rx_mb(ctx.rates)
-            )
-        # IB completions are coalesced ~8:1.
-        self.bump("-", "ib", self.noisy(ib_mb * 1e6 / _IB_MTU / 8.0 * dt))
-        block_mb = ctx.rate("block_mb", 0.005)
-        self.bump("-", "block", self.noisy(block_mb * 1e6 / (64 * 1024) * dt))
-
     def sample_block(self, block: BlockContext) -> np.ndarray:
         dt = np.asarray(block.dts, dtype=np.float64)
         cores = self.node.hardware.cores
@@ -62,7 +43,8 @@ class IrqCollector(Collector):
             block.idle, 0.01,
             DerivedRates.ib_tx_mb(block.rates) + DerivedRates.ib_rx_mb(block.rates))
         block_mb = block.rate("block_mb", 0.005)
-        # Per sample: eth, ib, block draws (timer is deterministic).
+        # Per sample: eth, ib, block draws (timer is deterministic).  IB
+        # completions are coalesced ~8:1.
         amounts = np.stack([
             eth_mb * 1e6 / _ETH_MTU * dt,
             ib_mb * 1e6 / _IB_MTU / 8.0 * dt,

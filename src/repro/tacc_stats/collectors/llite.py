@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tacc_stats.collectors.base import BlockContext, Collector, SampleContext
+from repro.tacc_stats.collectors.base import BlockContext, Collector
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
 
 __all__ = ["LliteCollector"]
@@ -46,22 +46,6 @@ class LliteCollector(Collector):
     def build_devices(self) -> tuple[str, ...]:
         return self._mounts
 
-    def advance(self, ctx: SampleContext) -> None:
-        dt = ctx.dt
-        if dt <= 0:
-            return
-        for mount in self.devices:
-            w = self.rate(ctx, f"io_{mount}_write_mb")
-            r = self.rate(ctx, f"io_{mount}_read_mb")
-            wb = self.noisy(w * 1e6 * dt)
-            rb = self.noisy(r * 1e6 * dt)
-            opens = (wb + rb) / (_RPC_BYTES * 64) + 0.002 * dt
-            self.bump(mount, "write_bytes", wb)
-            self.bump(mount, "read_bytes", rb)
-            self.bump(mount, "open", opens)
-            self.bump(mount, "close", opens)
-            self.bump(mount, "getattr", opens * 5.0)
-
     def sample_block(self, block: BlockContext) -> np.ndarray:
         dt = np.asarray(block.dts, dtype=np.float64)
         n_m = len(self.devices)
@@ -82,19 +66,10 @@ class LliteCollector(Collector):
         return self.wrap_block(self.accumulate_block(inc))
 
     @staticmethod
-    def rate(ctx: SampleContext, name: str) -> float:
-        """Rate lookup tolerating mounts absent from the canonical vector
-        (e.g. a site-specific Lustre mount with no workload signature)."""
-        if ctx.rates is None:
-            return 0.0
-        try:
-            return ctx.rate(name)
-        except KeyError:
-            return 0.0
-
-    @staticmethod
     def rate_block(block: BlockContext, name: str) -> np.ndarray:
-        """Block analogue of :meth:`rate` (zeros for unknown mounts)."""
+        """Rate lookup tolerating mounts absent from the canonical vector
+        (e.g. a site-specific Lustre mount with no workload signature):
+        zeros for unknown mounts and idle samples."""
         try:
             return block.rate(name, 0.0)
         except KeyError:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tacc_stats.collectors.base import BlockContext, Collector, SampleContext
+from repro.tacc_stats.collectors.base import BlockContext, Collector
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
 from repro.workload.behavior import DerivedRates
 
@@ -39,22 +39,6 @@ class LnetCollector(Collector):
 
     def build_devices(self) -> tuple[str, ...]:
         return ("-",)
-
-    def advance(self, ctx: SampleContext) -> None:
-        dt = ctx.dt
-        if dt <= 0:
-            return
-        if ctx.rates is None:
-            tx_mb = rx_mb = DerivedRates.LNET_FLOOR_MB
-        else:
-            tx_mb = float(DerivedRates.lnet_tx_mb(ctx.rates))
-            rx_mb = float(DerivedRates.lnet_rx_mb(ctx.rates))
-        tx_b = self.noisy(tx_mb * 1e6 * dt)
-        rx_b = self.noisy(rx_mb * 1e6 * dt)
-        self.bump("-", "tx_bytes", tx_b)
-        self.bump("-", "rx_bytes", rx_b)
-        self.bump("-", "tx_msgs", tx_b / _MSG_BYTES + 0.01 * dt)
-        self.bump("-", "rx_msgs", rx_b / _MSG_BYTES + 0.01 * dt)
 
     def sample_block(self, block: BlockContext) -> np.ndarray:
         dt = np.asarray(block.dts, dtype=np.float64)

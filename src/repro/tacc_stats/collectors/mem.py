@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tacc_stats.collectors.base import BlockContext, Collector, SampleContext
+from repro.tacc_stats.collectors.base import BlockContext, Collector
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
 from repro.util.units import GB, KB
 
@@ -40,34 +40,6 @@ class MemCollector(Collector):
     def build_devices(self) -> tuple[str, ...]:
         return tuple(str(i) for i in range(self.node.hardware.sockets))
 
-    def advance(self, ctx: SampleContext) -> None:
-        hw = self.node.hardware
-        sockets = hw.sockets
-        total_kb_per_socket = hw.memory_bytes / sockets / KB
-
-        used_gb = ctx.rate("mem_used_gb", 0.0) + _BASE_OS_GB
-        used_gb = min(used_gb, hw.memory_gb * 0.995)
-        cache_gb = min(ctx.rate("mem_cache_gb", 0.3), used_gb * 0.95)
-
-        # Socket 0 carries the kernel and most of the cache; remaining
-        # sockets split the rest evenly (first-touch NUMA placement).
-        weights = np.full(sockets, 1.0)
-        weights[0] = 1.35
-        weights /= weights.sum()
-        for s in range(sockets):
-            dev = str(s)
-            used_kb = used_gb * GB / KB * weights[s] * sockets / 1.0
-            used_kb = min(used_kb / sockets * sockets, total_kb_per_socket * 0.999)
-            used_kb = min(used_gb * GB / KB * weights[s], total_kb_per_socket * 0.999)
-            cached_kb = min(cache_gb * GB / KB * weights[s], used_kb * 0.95)
-            self.set_gauge(dev, "MemTotal", total_kb_per_socket)
-            self.set_gauge(dev, "MemUsed", used_kb)
-            self.set_gauge(dev, "MemFree", total_kb_per_socket - used_kb)
-            self.set_gauge(dev, "Buffers", cached_kb * 0.12)
-            self.set_gauge(dev, "Cached", cached_kb * 0.88)
-            self.set_gauge(dev, "Active", used_kb * 0.6)
-            self.set_gauge(dev, "Dirty", cached_kb * 0.02)
-
     def sample_block(self, block: BlockContext) -> np.ndarray:
         hw = self.node.hardware
         sockets = hw.sockets
@@ -78,6 +50,8 @@ class MemCollector(Collector):
             hw.memory_gb * 0.995)
         cache_gb = np.minimum(block.rate("mem_cache_gb", 0.3), used_gb * 0.95)
 
+        # Socket 0 carries the kernel and most of the cache; remaining
+        # sockets split the rest evenly (first-touch NUMA placement).
         weights = np.full(sockets, 1.0)
         weights[0] = 1.35
         weights /= weights.sum()

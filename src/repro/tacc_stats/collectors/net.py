@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tacc_stats.collectors.base import BlockContext, Collector, SampleContext
+from repro.tacc_stats.collectors.base import BlockContext, Collector
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
 
 __all__ = ["NetCollector"]
@@ -42,24 +42,6 @@ class NetCollector(Collector):
     def build_devices(self) -> tuple[str, ...]:
         return self.node.hardware.net_devices
 
-    def advance(self, ctx: SampleContext) -> None:
-        dt = ctx.dt
-        if dt <= 0:
-            return
-        eth_mb = ctx.rate("net_eth_mb", 0.002)
-        mpi_mb = ctx.rate("net_mpi_mb")
-        for dev in self.devices:
-            if dev.startswith("ib"):
-                mb = mpi_mb * _IPOIB_SHARE
-            else:
-                mb = eth_mb
-            tx = self.noisy(mb * 1e6 * dt)
-            rx = self.noisy(mb * 1e6 * dt * 0.9)
-            self.bump(dev, "tx_bytes", tx)
-            self.bump(dev, "rx_bytes", rx)
-            self.bump(dev, "tx_packets", tx / _MTU)
-            self.bump(dev, "rx_packets", rx / _MTU)
-
     def sample_block(self, block: BlockContext) -> np.ndarray:
         dt = np.asarray(block.dts, dtype=np.float64)
         eth_mb = block.rate("net_eth_mb", 0.002)
@@ -67,8 +49,8 @@ class NetCollector(Collector):
         mb = np.empty((block.n, len(self.devices)))
         for d, dev in enumerate(self.devices):
             mb[:, d] = mpi_mb * _IPOIB_SHARE if dev.startswith("ib") else eth_mb
-        # Per sample, per device: the scalar draws tx then rx.  Keep the
-        # scalar's left-to-right association: (mb * 1e6) * dt [* 0.9].
+        # Per sample, per device: tx then rx draws.  The association
+        # (mb * 1e6) * dt [* 0.9] is part of the pinned archive bytes.
         base = mb * 1e6 * dt[:, None]
         amounts = np.stack([base, base * 0.9], axis=-1)
         txrx = self.noisy_block(amounts)

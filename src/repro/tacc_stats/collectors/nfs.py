@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tacc_stats.collectors.base import BlockContext, Collector, SampleContext
+from repro.tacc_stats.collectors.base import BlockContext, Collector
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
 
 __all__ = ["NfsCollector"]
@@ -48,25 +48,10 @@ class NfsCollector(Collector):
     def build_devices(self) -> tuple[str, ...]:
         return self._mounts
 
-    def advance(self, ctx: SampleContext) -> None:
-        dt = ctx.dt
-        if dt <= 0:
-            return
-        for mount in self.devices:
-            # NFS mounts carry the canonical "share" traffic.
-            w = ctx.rate("io_share_write_mb") if ctx.rates is not None else 0.0
-            r = ctx.rate("io_share_read_mb") if ctx.rates is not None else 0.0
-            wb = self.noisy(w * 1e6 * dt)
-            rb = self.noisy(r * 1e6 * dt)
-            ops = (wb + rb) / _RPC_BYTES + 0.01 * dt  # getattr chatter
-            self.bump(mount, "write_bytes", wb)
-            self.bump(mount, "read_bytes", rb)
-            self.bump(mount, "rpc_ops", ops)
-            self.bump(mount, "retrans", 1e-4 * ops)
-
     def sample_block(self, block: BlockContext) -> np.ndarray:
         dt = np.asarray(block.dts, dtype=np.float64)
         n_m = len(self.devices)
+        # NFS mounts carry the canonical "share" traffic.
         w = block.rate("io_share_write_mb", 0.0)
         r = block.rate("io_share_read_mb", 0.0)
         # Per sample, per mount: write then read draws (amounts identical

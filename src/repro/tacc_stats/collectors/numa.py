@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tacc_stats.collectors.base import BlockContext, Collector, SampleContext
+from repro.tacc_stats.collectors.base import BlockContext, Collector
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
 
 __all__ = ["NumaCollector"]
@@ -36,29 +36,9 @@ class NumaCollector(Collector):
     def build_devices(self) -> tuple[str, ...]:
         return tuple(str(i) for i in range(self.node.hardware.sockets))
 
-    def advance(self, ctx: SampleContext) -> None:
+    def sample_block(self, block: BlockContext) -> np.ndarray:
         # Page allocation rate scales with memory churn: approximate from
         # cache turnover + I/O (every I/O byte passes the page cache).
-        io_mb = (
-            ctx.rate("io_scratch_write_mb") + ctx.rate("io_scratch_read_mb")
-            + ctx.rate("io_work_write_mb") + ctx.rate("io_work_read_mb")
-            + ctx.rate("block_mb")
-        )
-        churn_mb = io_mb + 0.05 * ctx.rate("mem_used_gb") * 1024 / 600.0 + 0.01
-        pages_per_s = churn_mb * 1024.0 / _PAGE_KB
-        sockets = self.node.hardware.sockets
-        per_socket = self.noisy(pages_per_s * ctx.dt) / sockets
-        for s in range(sockets):
-            dev = str(s)
-            miss = per_socket * _MISS_FRAC
-            hit = per_socket - miss
-            self.bump(dev, "numa_hit", hit)
-            self.bump(dev, "numa_miss", miss)
-            self.bump(dev, "numa_foreign", miss)
-            self.bump(dev, "local_node", hit)
-            self.bump(dev, "other_node", miss)
-
-    def sample_block(self, block: BlockContext) -> np.ndarray:
         io_mb = (
             block.rate("io_scratch_write_mb") + block.rate("io_scratch_read_mb")
             + block.rate("io_work_write_mb") + block.rate("io_work_read_mb")
@@ -67,7 +47,7 @@ class NumaCollector(Collector):
         churn_mb = io_mb + 0.05 * block.rate("mem_used_gb") * 1024 / 600.0 + 0.01
         pages_per_s = churn_mb * 1024.0 / _PAGE_KB
         sockets = self.node.hardware.sockets
-        # One draw per sample (shared by every socket), same as scalar.
+        # One draw per sample, shared by every socket.
         per_socket = self.noisy_block(pages_per_s * block.dts) / sockets
         miss = per_socket * _MISS_FRAC
         hit = per_socket - miss

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tacc_stats.collectors.base import BlockContext, Collector, SampleContext
+from repro.tacc_stats.collectors.base import BlockContext, Collector
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
 
 __all__ = ["PsCollector"]
@@ -40,34 +40,18 @@ class PsCollector(Collector):
     def build_devices(self) -> tuple[str, ...]:
         return ("-",)
 
-    def advance(self, ctx: SampleContext) -> None:
-        cores = self.node.hardware.cores
-        busy = ctx.rate("cpu_user_frac") + ctx.rate("cpu_sys_frac", 0.002)
-        load1 = busy * cores * float(self.rng.lognormal(0.0, 0.05))
-        # Exponential smoothing stands in for the kernel's 5/15-min decay.
-        alpha5 = min(1.0, ctx.dt / 300.0) if ctx.dt > 0 else 1.0
-        alpha15 = min(1.0, ctx.dt / 900.0) if ctx.dt > 0 else 1.0
-        self._load5 += alpha5 * (load1 - self._load5)
-        self._load15 += alpha15 * (load1 - self._load15)
-        running = max(1.0, round(busy * cores))
-        self.set_gauge("-", "load_1", load1 * 100)
-        self.set_gauge("-", "load_5", self._load5 * 100)
-        self.set_gauge("-", "load_15", self._load15 * 100)
-        self.set_gauge("-", "nr_running", running)
-        self.set_gauge("-", "nr_threads", 120 + running * 2)
-        self.bump("-", "processes", 0.05 * max(ctx.dt, 0.0))
-
     def sample_block(self, block: BlockContext) -> np.ndarray:
         cores = self.node.hardware.cores
         dt = np.asarray(block.dts, dtype=np.float64)
         busy = block.rate("cpu_user_frac") + block.rate("cpu_sys_frac", 0.002)
-        # One unconditional jitter draw per sample, like the scalar path.
+        # One unconditional jitter draw per sample.
         load1 = busy * cores * self.rng.lognormal(0.0, 0.05, size=block.n)
         a5 = np.where(dt > 0, np.minimum(1.0, dt / 300.0), 1.0)
         a15 = np.where(dt > 0, np.minimum(1.0, dt / 900.0), 1.0)
-        # The smoothing recurrence is inherently sequential; T is small
-        # (samples per chunk), so a scalar loop costs nothing next to the
-        # kernels above.
+        # Exponential smoothing stands in for the kernel's 5/15-min
+        # decay.  The recurrence is inherently sequential; T is small
+        # (samples per chunk), so a Python loop costs nothing next to
+        # the kernels above.
         l5 = np.empty(block.n)
         l15 = np.empty(block.n)
         x5, x15 = self._load5, self._load15
@@ -84,7 +68,7 @@ class PsCollector(Collector):
         vals[:, 0, 2] = np.maximum(l15 * 100, 0.0)
         vals[:, 0, 3] = running
         vals[:, 0, 4] = 120 + running * 2
-        proc_carry = float(self._acc["-"][5])
+        proc_carry = float(self._acc[0, 5])
         vals[:, 0, 5] = np.cumsum(
             np.concatenate([[proc_carry], 0.05 * np.maximum(dt, 0.0)]))[1:]
         if block.n:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tacc_stats.collectors.base import BlockContext, Collector, SampleContext
+from repro.tacc_stats.collectors.base import BlockContext, Collector
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
 from repro.util.units import GB, MB
 
@@ -31,22 +31,9 @@ class TmpfsCollector(Collector):
     def build_devices(self) -> tuple[str, ...]:
         return ("dev_shm", "tmp")
 
-    def advance(self, ctx: SampleContext) -> None:
-        if ctx.rates is None:
-            shm_bytes, tmp_bytes = 1 * MB, 4 * MB
-        else:
-            # MPI shared-memory windows appear under /dev/shm; stage files
-            # under /tmp scale (weakly) with local block traffic.
-            shm_bytes = min(
-                ctx.rate("net_mpi_mb") * 8 * MB, 2 * GB
-            ) + 1 * MB
-            tmp_bytes = 4 * MB + ctx.rate("block_mb") * 64 * MB
-        self.set_gauge("dev_shm", "bytes_used", shm_bytes)
-        self.set_gauge("dev_shm", "files_used", max(1, shm_bytes // (32 * MB)))
-        self.set_gauge("tmp", "bytes_used", tmp_bytes)
-        self.set_gauge("tmp", "files_used", max(4, tmp_bytes // MB // 4))
-
     def sample_block(self, block: BlockContext) -> np.ndarray:
+        # MPI shared-memory windows appear under /dev/shm; stage files
+        # under /tmp scale (weakly) with local block traffic.
         shm_bytes = np.where(
             block.idle,
             float(1 * MB),

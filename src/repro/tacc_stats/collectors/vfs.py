@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tacc_stats.collectors.base import BlockContext, Collector, SampleContext
+from repro.tacc_stats.collectors.base import BlockContext, Collector
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
 
 __all__ = ["VfsCollector"]
@@ -31,24 +31,8 @@ class VfsCollector(Collector):
     def build_devices(self) -> tuple[str, ...]:
         return ("-",)
 
-    def advance(self, ctx: SampleContext) -> None:
-        base_dentry, base_file, base_inode = 25_000.0, 1_200.0, 20_000.0
-        if ctx.rates is not None:
-            # Metadata-heavy I/O grows the caches.
-            io_mb = (
-                ctx.rate("io_scratch_write_mb") + ctx.rate("io_scratch_read_mb")
-                + ctx.rate("io_work_write_mb") + ctx.rate("io_work_read_mb")
-            )
-            cache_gb = ctx.rate("mem_cache_gb")
-            base_dentry += 2_000.0 * io_mb + 5_000.0 * cache_gb
-            base_file += 40.0 * io_mb + 16 * self.node.hardware.cores
-            base_inode += 1_500.0 * io_mb + 4_000.0 * cache_gb
-        jitter = float(self.rng.lognormal(0.0, 0.03))
-        self.set_gauge("-", "dentry_use", base_dentry * jitter)
-        self.set_gauge("-", "file_use", base_file * jitter)
-        self.set_gauge("-", "inode_use", base_inode * jitter)
-
     def sample_block(self, block: BlockContext) -> np.ndarray:
+        # Metadata-heavy I/O grows the caches.
         io_mb = (
             block.rate("io_scratch_write_mb") + block.rate("io_scratch_read_mb")
             + block.rate("io_work_write_mb") + block.rate("io_work_read_mb")
@@ -64,7 +48,7 @@ class VfsCollector(Collector):
         inode = np.where(
             block.idle, 20_000.0,
             20_000.0 + (1_500.0 * io_mb + 4_000.0 * cache_gb))
-        # One unconditional jitter draw per sample, like the scalar path.
+        # One unconditional jitter draw per sample.
         jitter = self.rng.lognormal(0.0, 0.03, size=block.n)
         vals = np.empty((block.n, 1, self._schema.n_values))
         vals[:, 0, 0] = dentry * jitter

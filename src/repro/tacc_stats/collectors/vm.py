@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tacc_stats.collectors.base import BlockContext, Collector, SampleContext
+from repro.tacc_stats.collectors.base import BlockContext, Collector
 from repro.tacc_stats.schema import SchemaEntry, TypeSchema
 
 __all__ = ["VmCollector"]
@@ -37,28 +37,6 @@ class VmCollector(Collector):
     def build_devices(self) -> tuple[str, ...]:
         return ("-",)
 
-    def advance(self, ctx: SampleContext) -> None:
-        dt = ctx.dt
-        if dt <= 0:
-            return
-        read_mb = (
-            ctx.rate("io_scratch_read_mb") + ctx.rate("io_work_read_mb")
-            + ctx.rate("io_share_read_mb") + ctx.rate("block_mb") * 0.5
-        )
-        write_mb = (
-            ctx.rate("io_scratch_write_mb") + ctx.rate("io_work_write_mb")
-            + ctx.rate("io_share_write_mb") + ctx.rate("block_mb") * 0.5
-        )
-        swap_mb = ctx.rate("swap_mb")
-        # Fault rate tracks memory churn; a floor keeps idle nodes alive.
-        fault_rate = 50.0 + 2000.0 * ctx.rate("cpu_user_frac", 0.0)
-        self.bump("-", "pgpgin", self.noisy(read_mb * 1024.0 * dt))
-        self.bump("-", "pgpgout", self.noisy(write_mb * 1024.0 * dt))
-        self.bump("-", "pswpin", self.noisy(swap_mb * 1024.0 / _PAGE_KB * dt * 0.4))
-        self.bump("-", "pswpout", self.noisy(swap_mb * 1024.0 / _PAGE_KB * dt * 0.6))
-        self.bump("-", "pgfault", self.noisy(fault_rate * dt))
-        self.bump("-", "pgmajfault", self.noisy(0.002 * fault_rate * dt))
-
     def sample_block(self, block: BlockContext) -> np.ndarray:
         dt = np.asarray(block.dts, dtype=np.float64)
         read_mb = (
@@ -70,9 +48,11 @@ class VmCollector(Collector):
             + block.rate("io_share_write_mb") + block.rate("block_mb") * 0.5
         )
         swap_mb = block.rate("swap_mb")
+        # Fault rate tracks memory churn; a floor keeps idle nodes alive.
         fault_rate = 50.0 + 2000.0 * block.rate("cpu_user_frac", 0.0)
-        # Same per-sample draw order as the scalar loop; dt <= 0 rows
-        # produce zero amounts, hence no draws.
+        # Per sample: pgpgin, pgpgout, pswpin, pswpout, pgfault,
+        # pgmajfault draws; dt <= 0 rows produce zero amounts, hence no
+        # draws.
         amounts = np.stack([
             read_mb * 1024.0 * dt,
             write_mb * 1024.0 * dt,

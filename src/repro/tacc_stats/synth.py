@@ -1,10 +1,22 @@
-"""Vectorized per-node synthesis engine (the daemon's fast path).
+"""The per-node TACC_Stats process: collector suite, job tracking, writes.
 
-:class:`NodeSynth` replaces :class:`~repro.tacc_stats.daemon.TaccStatsDaemon`
-for replay: instead of emitting one text block per invocation, it queues
-the invocation metadata (time, dt, prevailing rates source, job tags,
-marks) and, at each job-begin boundary — the only point where collector
-state is reprogrammed — materializes the whole pending run as one
+Mirrors the original tool's invocation discipline (paper §3):
+
+* at **job begin** — reprogram the performance counters, then record a
+  baseline sample tagged ``%begin jobid``;
+* **periodically** (cron, every 10 minutes, aligned across the cluster) —
+  read all collectors without reprogramming anything;
+* at **job end** — record a final sample tagged ``%end jobid``.
+
+Counter increments over an interval are driven by the node state that
+prevailed *during* that interval, so a sample taken at job begin still
+accounts the preceding idle time correctly.
+
+:class:`NodeSynth` does not emit one text block per invocation.  It
+queues the invocation metadata (time, dt, prevailing rates source, job
+tags, marks) and, at each job-begin boundary — the only point where
+collector state is reprogrammed — or an explicit :meth:`NodeSynth.flush`,
+materializes the whole pending run as one
 :class:`~repro.tacc_stats.collectors.base.BlockContext` and calls every
 collector's batched ``sample_block`` kernel once.  The resulting
 ``[T, devices, values]`` uint64 arrays are rendered to text in bulk and,
@@ -12,12 +24,10 @@ for v2 archives, handed to
 :func:`~repro.tacc_stats.columnar.encode_host_blocks` directly so the
 archive never re-parses text it just rendered.
 
-Byte-identity with the scalar daemon is a hard contract, not an
-approximation: collectors draw from per-collector RNG streams keyed by
-``(seed, node, collector)``, every kernel consumes its stream in scalar
-draw order and preserves the scalar float association, and the rendered
-text / v2 bytes are covered by property tests that diff the two paths'
-archives end to end.
+Collectors draw from per-collector RNG streams keyed by
+``(seed, node, collector)``, so a node's bytes do not depend on how the
+replay cuts its samples into blocks or its nodes across workers; golden
+digests of the archives (``tests/data/write_path_golden.json``) pin them.
 """
 
 from __future__ import annotations
@@ -72,10 +82,14 @@ class _V2Accum:
 
 
 class NodeSynth:
-    """One node's batched collector suite, API-compatible with the
-    daemon's job lifecycle (``begin_job`` / ``end_job`` / ``sample``)
-    plus an explicit :meth:`flush` the driver calls once its event
-    stream (or micro-batch) is exhausted.
+    """One node's batched collector suite: the job lifecycle
+    (``begin_job`` / ``end_job`` / ``sample``) plus an explicit
+    :meth:`flush` the driver calls once its event stream (or
+    micro-batch) is exhausted.
+
+    *rng* is a shared generator or a stream factory ``name ->
+    Generator`` giving every collector its own stream (what the replay
+    passes; see :func:`~repro.tacc_stats.collectors.build_collectors`).
 
     Writes go straight to a :class:`HostArchive` — rotation, schema
     re-registration on fresh files, and (for v2 archives) direct column
@@ -109,7 +123,7 @@ class NodeSynth:
             archive.set_v2_encoder(node.hostname, self._encode_v2)
         get_registry().counter("synth.nodes").inc()
 
-    # -- job lifecycle (daemon-compatible) ----------------------------------
+    # -- job lifecycle --------------------------------------------------------
 
     def begin_job(self, jobid: str, t: float, behavior: JobBehavior,
                   node_slot: int) -> None:
@@ -161,8 +175,8 @@ class NodeSynth:
             )
         dt = 0.0 if self._last_time is None else t - self._last_time
         # A begin-mark sample accounts the *previous* interval (idle, or
-        # a job that already emitted its end sample) — same rule as the
-        # daemon's _interval_rates.
+        # a job that already emitted its end sample), so the rates come
+        # from whatever job held the node before this invocation.
         if self._job is None:
             src = None
         else:
@@ -202,15 +216,12 @@ class NodeSynth:
             steps = behavior.steps_of(elapsed)
             rates[rows] = behavior.node_rates_block(steps, slot)
 
-        block = BlockContext(
-            times=times, dts=dts, rates=rates, idle=idle,
-            jobids=tuple(p.jobids for p in pending),
-        )
+        block = BlockContext(times=times, dts=dts, rates=rates, idle=idle)
         vals_by_collector = [c.sample_block(block) for c in self.collectors]
 
         # Render every (collector, device) row stream to text lines in
-        # bulk: uint64 .tolist() yields Python ints whose str() matches
-        # the scalar writer's str(int(v)) exactly.
+        # bulk: uint64 .tolist() yields Python ints, whose str() is the
+        # format's decimal value rendering.
         line_lists: list[list[str]] = []
         n_rows = 0
         for c, vals in zip(self.collectors, vals_by_collector):
@@ -244,8 +255,9 @@ class NodeSynth:
             while i1 < n and int(pending[i1].t // rot) == seg:
                 i1 += 1
             w = self.archive.writer(hostname, pending[i0].t)
-            # Rotation starts a fresh file with its own header — same
-            # re-registration rule as the daemon's _writer_at.
+            # Rotation starts a fresh file with its own header, so the
+            # schemas are registered again on every new writer (what the
+            # real tool does on its daily restart).
             if self.collectors[0].schema.type_name not in w.schemas:
                 for c in self.collectors:
                     w.register_schema(c.schema)

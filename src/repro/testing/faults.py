@@ -29,6 +29,10 @@ kind                  what happens to the file
 *Fatal* kinds make the host fail a ``strict`` parse and get the host
 dropped under ``quarantine``; *benign* kinds parse clean everywhere.
 
+:func:`kill_at_file_close` simulates the archive *writer* being killed:
+the N-th archive file close dies after the file's bytes are written but
+before they are renamed into place.
+
 The module also ships picklable worker shims (:func:`crashy_scan`,
 :func:`sleepy_scan`) that wrap the real scan entry point to simulate
 transient worker death and wedged workers for the retry engine — bind
@@ -43,19 +47,25 @@ import gzip
 import os
 import random
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 from repro.ingest.parallel import _scan_one
+from repro.tacc_stats.archive import is_temp_name
 
 __all__ = [
     "BENIGN_KINDS",
     "FATAL_KINDS",
     "FAULT_KINDS",
     "InjectedFault",
+    "InjectedKill",
     "corrupt_archive",
     "crashy_scan",
     "inject_fault",
+    "kill_at_file_close",
     "sleepy_scan",
 ]
 
@@ -225,6 +235,36 @@ def corrupt_archive(root: str | Path, hosts: dict[str, str],
             raise ValueError(f"no archived files for {hostname}")
         injected.append(inject_fault(files[0], kind, seed=seed * 1000 + i))
     return injected
+
+
+class InjectedKill(RuntimeError):
+    """Raised by :func:`kill_at_file_close` where a process would die."""
+
+
+@contextmanager
+def kill_at_file_close(n: int) -> Iterator[None]:
+    """Kill the archive writer at its *n*-th (1-based) file close.
+
+    Inside the context, the *n*-th atomic archive write raises
+    :class:`InjectedKill` once its bytes sit in the temporary file and
+    before the rename publishes them — the instant a writer that wrote
+    in place would have left a torn file.  Earlier closes complete.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    real_replace = os.replace
+    closes = 0
+
+    def replace(src, dst, *args, **kwargs):
+        nonlocal closes
+        if is_temp_name(Path(src).name):
+            closes += 1
+            if closes == n:
+                raise InjectedKill(f"killed at file close {n} ({dst})")
+        return real_replace(src, dst, *args, **kwargs)
+
+    with mock.patch("os.replace", replace):
+        yield
 
 
 def crashy_scan(state_dir: str, crash_hosts: tuple[str, ...],

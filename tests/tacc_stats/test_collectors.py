@@ -1,4 +1,6 @@
-"""Tests for the collector suite."""
+"""Tests for the collector suite, one invocation at a time: each case
+feeds a one-row :class:`BlockContext` to a collector's ``sample_block``
+kernel."""
 
 import numpy as np
 import pytest
@@ -12,10 +14,9 @@ from repro.tacc_stats.collectors import (
     IntelPmcCollector,
     LliteCollector,
     MemCollector,
-    SampleContext,
     build_collectors,
 )
-from repro.tacc_stats.collectors.base import core_fractions
+from repro.tacc_stats.collectors.base import BlockContext, core_fractions_block
 from repro.util.units import KB
 from repro.workload.applications import RATE_FIELDS, RATE_INDEX
 
@@ -32,12 +33,19 @@ def rates(**kw):
     return r
 
 
-def ctx(t, dt, r=None, jobids=()):
-    return SampleContext(time=t, dt=dt, rates=r, jobids=jobids)
+def ctx(t, dt, r=None):
+    """One invocation at *t*, *dt* seconds after the previous one, with
+    node rates *r* (None: no job on the node)."""
+    idle = r is None
+    return BlockContext(
+        times=np.array([t]), dts=np.array([dt]),
+        rates=np.zeros((1, len(RATE_FIELDS))) if idle else r[None, :],
+        idle=np.array([idle]))
 
 
 def read_all(collector, context):
-    return {dev: vals for dev, vals in collector.sample(context)}
+    """Run the invocation; the rows it produced, by device."""
+    return dict(zip(collector.devices, collector.sample_block(context)[-1]))
 
 
 def test_build_collectors_selects_pmc_by_arch():
@@ -55,20 +63,22 @@ def test_build_collectors_selects_pmc_by_arch():
 
 
 def test_core_fractions_fill_first():
-    np.testing.assert_allclose(core_fractions(0.25, 16),
-                               [1.0] * 4 + [0.0] * 12)
-    np.testing.assert_allclose(core_fractions(0.30, 16),
-                               [1.0] * 4 + [0.8] + [0.0] * 11)
-    assert core_fractions(1.0, 4).sum() == pytest.approx(4.0)
-    assert core_fractions(0.0, 4).sum() == 0.0
+    got = core_fractions_block(np.array([0.25, 0.30]), 16)
+    np.testing.assert_allclose(got[0], [1.0] * 4 + [0.0] * 12)
+    np.testing.assert_allclose(got[1], [1.0] * 4 + [0.8] + [0.0] * 11)
+    assert core_fractions_block(np.array([1.0]), 4).sum() == pytest.approx(4.0)
+    assert core_fractions_block(np.array([0.0]), 4).sum() == 0.0
+    # Out-of-range fractions clip to an idle or a fully busy node.
+    np.testing.assert_array_equal(
+        core_fractions_block(np.array([-0.5, 1.5]), 4),
+        [[0.0] * 4, [1.0] * 4])
 
 
 def test_cpu_collector_conserves_time():
     node = make_node()
     col = CpuCollector(node, np.random.default_rng(1))
     r = rates(cpu_user_frac=0.5, cpu_sys_frac=0.05, cpu_iowait_frac=0.02)
-    col.advance(ctx(600.0, 600.0, r))
-    rows = read_all(col, ctx(1200.0, 0.0, r))
+    rows = read_all(col, ctx(600.0, 600.0, r))
     assert len(rows) == 16
     for vals in rows.values():
         # user+nice+system+idle+iowait+irq+softirq = elapsed centiseconds.
@@ -81,8 +91,7 @@ def test_cpu_collector_resolves_undersubscription_per_core():
     node = make_node()
     col = CpuCollector(node, np.random.default_rng(2))
     r = rates(cpu_user_frac=0.25)
-    col.advance(ctx(600.0, 600.0, r))
-    rows = read_all(col, ctx(600.0, 0.0, r))
+    rows = read_all(col, ctx(600.0, 600.0, r))
     user_col = col.schema.index_of("user")
     users = np.array([rows[str(c)][user_col] for c in range(16)])
     assert (users[:4] > 0.9 * 600 * 100).all()
@@ -93,8 +102,7 @@ def test_mem_collector_reports_gauges():
     node = make_node()
     col = MemCollector(node, np.random.default_rng(3))
     r = rates(mem_used_gb=8.0, mem_cache_gb=2.0)
-    col.advance(ctx(0.0, 600.0, r))
-    rows = read_all(col, ctx(0.0, 0.0, r))
+    rows = read_all(col, ctx(0.0, 600.0, r))
     assert len(rows) == 4  # sockets
     total_col = col.schema.index_of("MemTotal")
     used_col = col.schema.index_of("MemUsed")
@@ -109,10 +117,8 @@ def test_mem_gauge_does_not_accumulate():
     node = make_node()
     col = MemCollector(node, np.random.default_rng(4))
     r = rates(mem_used_gb=4.0)
-    col.advance(ctx(0.0, 600.0, r))
-    first = read_all(col, ctx(0.0, 0.0, r))
-    col.advance(ctx(600.0, 600.0, r))
-    second = read_all(col, ctx(600.0, 0.0, r))
+    first = read_all(col, ctx(0.0, 600.0, r))
+    second = read_all(col, ctx(600.0, 600.0, r))
     np.testing.assert_array_equal(first["0"], second["0"])
 
 
@@ -126,8 +132,7 @@ def test_ib_collector_uses_extended_64bit_counters():
     assert col.schema.entries[xmit_col].width == 64
     last = -1
     for k in range(1, 40):
-        col.advance(ctx(k * 600.0, 600.0, r))
-        cur = int(read_all(col, ctx(k * 600.0, 0.0, r))["mlx4_0"][xmit_col])
+        cur = int(read_all(col, ctx(k * 600.0, 600.0, r))["mlx4_0"][xmit_col])
         assert cur > last
         last = cur
     # Counted in 4-byte words: ~40 MB/s * 39 * 600 s / 4.
@@ -146,8 +151,7 @@ def test_net_collector_32bit_bytes_roll_over():
     wrapped = False
     last = 0
     for k in range(1, 40):  # 3 MB/s wraps 2^32 bytes every ~24 min
-        col.advance(ctx(k * 600.0, 600.0, r))
-        cur = int(read_all(col, ctx(k * 600.0, 0.0, r))["eth0"][tx_col])
+        cur = int(read_all(col, ctx(k * 600.0, 600.0, r))["eth0"][tx_col])
         if cur < last:
             wrapped = True
         last = cur
@@ -159,8 +163,7 @@ def test_llite_reports_per_mount():
     col = LliteCollector(node, np.random.default_rng(6),
                          mounts=("scratch", "work"))
     r = rates(io_scratch_write_mb=10.0, io_work_write_mb=1.0)
-    col.advance(ctx(600.0, 600.0, r))
-    rows = read_all(col, ctx(600.0, 0.0, r))
+    rows = read_all(col, ctx(600.0, 600.0, r))
     wcol = col.schema.index_of("write_bytes")
     assert rows["scratch"][wcol] > 8 * rows["work"][wcol]
 
@@ -170,8 +173,7 @@ def test_amd64_pmc_reprogram_resets_and_tags():
     col = Amd64PmcCollector(node, np.random.default_rng(7))
     r = rates(cpu_user_frac=0.9, flops_gf=14.0)
     col.on_job_begin("1", 0.0)
-    col.advance(ctx(600.0, 600.0, r))
-    rows = read_all(col, ctx(600.0, 0.0, r))
+    rows = read_all(col, ctx(600.0, 600.0, r))
     ctl0 = int(rows["0"][col.schema.index_of("ctl0")])
     from repro.tacc_stats.collectors.amd64_pmc import AMD64_EVENT_CODES
     assert ctl0 == AMD64_EVENT_CODES["SSE_FLOPS"]
@@ -188,8 +190,7 @@ def test_amd64_pmc_flops_total_matches_rate():
     col.on_job_begin("1", 0.0)
     col._user_programmed = False
     r = rates(cpu_user_frac=1.0, flops_gf=14.0)
-    col.advance(ctx(600.0, 600.0, r))
-    rows = read_all(col, ctx(600.0, 0.0, r))
+    rows = read_all(col, ctx(600.0, 600.0, r))
     c = col.schema.index_of("ctr0")
     total = sum(int(v[c]) for v in rows.values())
     assert total == pytest.approx(14.0e9 * 600, rel=0.05)
@@ -204,8 +205,7 @@ def test_intel_pmc_overcounts_flops():
     col.on_job_begin("1", 0.0)
     col._user_programmed = False
     r = rates(cpu_user_frac=1.0, flops_gf=10.0)
-    col.advance(ctx(600.0, 600.0, r))
-    rows = read_all(col, ctx(600.0, 0.0, r))
+    rows = read_all(col, ctx(600.0, 600.0, r))
     c = col.schema.index_of("ctr0")
     total = sum(int(v[c]) for v in rows.values())
     assert total == pytest.approx(10.0e9 * 600 * FP_OVERCOUNT, rel=0.05)
@@ -219,11 +219,9 @@ def test_pmc_user_programmed_uses_foreign_codes():
     # on_job_begin redraws; force again and reprogram manually.
     col._user_programmed = True
     from repro.tacc_stats.collectors.amd64_pmc import AMD64_EVENT_CODES
-    for dev in col.devices:
-        col._acc[dev][:4] = [0x430076] * 4
+    col._acc[:, :4] = 0x430076
     r = rates(cpu_user_frac=0.5, flops_gf=5.0)
-    col.advance(ctx(600.0, 600.0, r))
-    rows = read_all(col, ctx(600.0, 0.0, r))
+    rows = read_all(col, ctx(600.0, 600.0, r))
     ctl0 = int(rows["0"][col.schema.index_of("ctl0")])
     assert ctl0 not in AMD64_EVENT_CODES.values()
 
@@ -233,13 +231,11 @@ def test_idle_node_still_reports():
     node = make_node()
     rng = np.random.default_rng(11)
     for col in build_collectors(node, rng):
-        col.advance(ctx(600.0, 600.0, None))
-        rows = read_all(col, ctx(600.0, 0.0, None))
-        assert rows, col.type_name
-    # Specifically: cpu idle time accrues, memory shows the OS footprint.
+        rows = read_all(col, ctx(600.0, 600.0, None))
+        assert len(rows) == len(col.devices), col.type_name
+    # Specifically: cpu idle time accrues.
     cpu = CpuCollector(node, rng)
-    cpu.advance(ctx(600.0, 600.0, None))
-    rows = read_all(cpu, ctx(600.0, 0.0, None))
+    rows = read_all(cpu, ctx(600.0, 600.0, None))
     idle_col = cpu.schema.index_of("idle")
     assert int(rows["3"][idle_col]) > 0.95 * 600 * 100
 
@@ -247,12 +243,5 @@ def test_idle_node_still_reports():
 def test_negative_dt_rejected():
     node = make_node()
     col = CpuCollector(node, np.random.default_rng(12))
-    with pytest.raises(ValueError):
-        list(col.sample(ctx(0.0, -1.0, None)))
-
-
-def test_bump_rejects_negative():
-    node = make_node()
-    col = CpuCollector(node, np.random.default_rng(13))
-    with pytest.raises(ValueError):
-        col.bump("0", "user", -5.0)
+    with pytest.raises(ValueError, match="negative dt"):
+        col.sample_block(ctx(0.0, -1.0, None))

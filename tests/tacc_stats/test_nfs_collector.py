@@ -7,7 +7,7 @@ from repro import LONESTAR4, Facility
 from repro.cluster.hardware import lonestar4_node
 from repro.cluster.node import Node
 from repro.tacc_stats.collectors import NfsCollector, build_collectors
-from repro.tacc_stats.collectors.base import SampleContext
+from repro.tacc_stats.collectors.base import BlockContext
 from repro.workload.applications import RATE_FIELDS, RATE_INDEX
 
 
@@ -26,8 +26,9 @@ def test_nfs_collector_reports_share_traffic():
     col = NfsCollector(make_node(), np.random.default_rng(0),
                        mounts=("home",))
     r = rates(io_share_write_mb=2.0, io_share_read_mb=1.0)
-    col.advance(SampleContext(600.0, 600.0, r))
-    rows = dict(col.sample(SampleContext(600.0, 0.0, r)))
+    block = BlockContext(times=np.array([600.0]), dts=np.array([600.0]),
+                         rates=r[None, :], idle=np.array([False]))
+    rows = dict(zip(col.devices, col.sample_block(block)[-1]))
     w = int(rows["home"][col.schema.index_of("write_bytes")])
     rd = int(rows["home"][col.schema.index_of("read_bytes")])
     assert w == pytest.approx(2.0e6 * 600, rel=0.1)

@@ -1,129 +1,53 @@
-"""Property-based byte-identity: vectorized synthesis vs the scalar
-daemon oracle.
+"""Byte-identity of the replay against the pinned scalar-oracle digests.
 
-Each example simulates the same facility twice — ``synthesis="fast"``
-and ``synthesis="scalar"`` — and asserts the archive trees are
-byte-identical file for file and the warehouses row-identical.  The
-draws sweep the dimensions that could plausibly break the kernels'
-bit-exactness: the system archetype (different collector suites,
-filesystems, PMC programs), the on-disk format (text vs direct-to-v2
-column encoding), the ingest error policy (the fault-tolerant read-back
-paths), and sub-day rotation periods (the live replay's segment close /
+The per-sample scalar daemon was the oracle the batched synthesis
+kernels were proven against.  Before it was removed, its archives and
+warehouses were recorded as golden digests over the grid these
+properties used to sample (``tests/write_path_golden.py``), each entry
+only where the batched engine matched it.  Every test here runs the
+whole grid and compares the replay's output with those digests: the
+system archetype (different collector suites, filesystems, PMC
+programs), the on-disk format (text vs direct-to-v2 column encoding),
+the ingest error policy (the fault-tolerant read-back paths), and
+sub-day rotation periods (the live replay's segment close /
 re-register cycle, which cuts synthesis blocks at arbitrary points).
 """
 
-import hashlib
-from pathlib import Path
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro import Facility
-from repro.config import LONESTAR4, RANGER, STAMPEDE
-from repro.live.runner import LiveReplay, LiveSession
-from repro.tacc_stats.archive import HostArchive
-from repro.util.timeutil import HOUR
-
-ARCHETYPES = {
-    "ranger": RANGER,
-    "stampede": STAMPEDE,
-    "lonestar4": LONESTAR4,
-}
+from tests import write_path_golden as golden
 
 
-def _tree(root) -> dict[str, str]:
-    root = Path(root)
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*")) if p.is_file()
+def _mismatches(got: dict) -> dict:
+    """{key: digest fields that differ from the pinned entry}."""
+    expected = golden.load_golden()
+    return {key: sorted(f for f in expected[key]
+                        if digest.get(f) != expected[key][f])
+            for key, digest in got.items() if digest != expected[key]}
+
+
+def test_fast_engine_matches_scalar_oracle(tmp_path):
+    got = {
+        golden.files_key(name, fmt, policy, seed): golden.run_files(
+            tmp_path / str(i), golden.files_config(name), seed, fmt,
+            policy)
+        for i, (name, fmt, policy, seed) in enumerate(golden.files_grid())
     }
+    assert _mismatches(got) == {}
 
 
-def _data_rows(warehouse):
-    warehouse.commit()
-    return {
-        table: warehouse.connection.execute(
-            f"SELECT {cols} FROM {table} ORDER BY {cols}").fetchall()
-        for table, cols in [
-            ("jobs", "system, jobid, user, account, science_field, app, "
-                     "queue, exit_status, submit_time, start_time, "
-                     "end_time, nodes, cores, node_hours"),
-            ("job_metrics", "system, jobid, metric, value"),
-            ("system_series", "system, metric, t, value"),
-        ]
-    }
-
-
-@given(
-    name=st.sampled_from(sorted(ARCHETYPES)),
-    seed=st.integers(min_value=0, max_value=2**20),
-    archive_format=st.sampled_from(["text", "v2"]),
-    error_policy=st.sampled_from(["strict", "quarantine", "repair"]),
-)
-@settings(max_examples=6, deadline=None)
-def test_fast_engine_matches_scalar_oracle(
-        tmp_path_factory, name, seed, archive_format, error_policy):
-    cfg = ARCHETYPES[name].scaled(num_nodes=2, horizon_days=1, n_users=6)
-    d_fast = str(tmp_path_factory.mktemp("fast"))
-    d_scalar = str(tmp_path_factory.mktemp("scalar"))
-    r_fast = Facility(cfg, seed=seed).run_with_files(
-        d_fast, compress=False, archive_format=archive_format,
-        error_policy=error_policy)
-    r_scalar = Facility(cfg, seed=seed).run_with_files(
-        d_scalar, compress=False, archive_format=archive_format,
-        error_policy=error_policy, synthesis="scalar")
-    assert _tree(d_fast) == _tree(d_scalar)
-    assert _data_rows(r_fast.warehouse) == _data_rows(r_scalar.warehouse)
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**20),
-    segment_hours=st.sampled_from([1, 3, 6, 12]),
-    batch_segments=st.integers(min_value=1, max_value=3),
-    archive_format=st.sampled_from(["text", "v2"]),
-)
-@settings(max_examples=4, deadline=None)
-def test_sub_day_rotation_identity(tmp_path_factory, seed, segment_hours,
-                                   batch_segments, archive_format):
+def test_sub_day_rotation_identity(tmp_path):
     """Sub-day rotation: the live replay closes segments (firing the
-    direct-to-v2 encoder) after every micro-batch, so the fast engine's
-    blocks are cut and flushed at points the offline path never sees —
+    direct-to-v2 encoder) after every micro-batch, so the engine's
+    blocks are cut and flushed at points a one-shot replay never sees —
     the archives must still match the scalar daemon's byte for byte."""
-    cfg = RANGER.scaled(num_nodes=2, horizon_days=1, n_users=5)
-    seg = segment_hours * HOUR
-    trees = {}
-    for synthesis in ("fast", "scalar"):
-        d = str(tmp_path_factory.mktemp(synthesis))
-        facility = Facility(cfg, seed=seed)
-        workload, sim, _outages, _cluster = facility._simulate()
-        archive = HostArchive(d, compress=False, rotate_seconds=seg,
-                              archive_format=archive_format)
-        replay = LiveReplay(
-            cfg, seed, workload.users, workload.util_scale,
-            facility.phase_calibration, facility.regressions,
-            sim.records, archive, synthesis=synthesis)
-        t = 0.0
-        while t < cfg.horizon:
-            t = min(t + batch_segments * seg, cfg.horizon)
-            replay.advance(t)
-            archive.flush_before(t)
-        archive.close()
-        trees[synthesis] = _tree(d)
-    assert trees["fast"] == trees["scalar"]
+    got = {
+        golden.rotation_key(hours, batch, fmt): golden.run_rotation(
+            tmp_path / str(i), hours, batch, fmt)
+        for i, (hours, batch, fmt) in enumerate(golden.rotation_grid())
+    }
+    assert _mismatches(got) == {}
 
 
-def test_live_session_fast_matches_scalar(tmp_path_factory):
+def test_live_session_fast_matches_scalar(tmp_path):
     """The full live session (micro-batch ingest included) pinned on one
     representative cadence — the end-to-end path operators actually run."""
-    cfg = RANGER.scaled(num_nodes=2, horizon_days=1, n_users=5)
-    trees, rows = {}, {}
-    for synthesis in ("fast", "scalar"):
-        d = str(tmp_path_factory.mktemp(f"sess-{synthesis}"))
-        session = LiveSession(Facility(cfg, seed=3), d,
-                              segment_seconds=6 * HOUR,
-                              synthesis=synthesis)
-        session.run()
-        trees[synthesis] = _tree(d)
-        rows[synthesis] = _data_rows(session.warehouse)
-    assert trees["fast"] == trees["scalar"]
-    assert rows["fast"] == rows["scalar"]
+    assert _mismatches({golden.LIVE_KEY: golden.run_live(tmp_path)}) == {}

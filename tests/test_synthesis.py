@@ -1,34 +1,26 @@
 """Determinism contract for the vectorized synthesis engine.
 
-The fast replay path (:class:`repro.tacc_stats.synth.NodeSynth`) must be
-a drop-in match for the scalar daemon oracle: byte-identical archives in
-both on-disk formats, and output that depends only on ``(seed, node,
-collector)`` — never on how nodes are chunked across workers, because
-every collector draws from its own keyed RNG stream.  Also pins the
-worker-chunking clamp: requesting more workers than nodes degrades to
-one worker per node, never an empty pool task.
+The replay (:class:`repro.tacc_stats.synth.NodeSynth` driven by
+:class:`repro.live.runner.LiveReplay`) must still write what the scalar
+daemon oracle wrote, pinned as golden digests before that daemon was
+removed: byte-identical archives in both on-disk formats, and output
+that depends only on ``(seed, node, collector)`` — never on how nodes
+are chunked across workers, because every collector draws from its own
+keyed RNG stream.  Also pins the worker-chunking clamp: requesting more
+workers than nodes degrades to one worker per node, never an empty pool
+task.
 """
-
-import hashlib
-from pathlib import Path
 
 import pytest
 
-from repro import RANGER, Facility
+from repro import Facility
 from repro.facility import _node_chunks, _replay_nodes
 from repro.telemetry.metrics import MetricsRegistry, use_registry
+from tests import write_path_golden as golden
+from tests.write_path_golden import tree as _tree
 
-CFG = RANGER.scaled(num_nodes=4, horizon_days=1, n_users=8)
-SEED = 17
-
-
-def _tree(root) -> dict[str, str]:
-    """{relative path: sha256} for every file under *root*."""
-    root = Path(root)
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*")) if p.is_file()
-    }
+CFG = golden.synth_config()
+SEED = golden.SYNTH_SEED
 
 
 # ---------------------------------------------------------------------------
@@ -58,31 +50,16 @@ def test_workers_beyond_node_count(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Fast engine == scalar oracle.
+# Engine == pinned scalar oracle.
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("archive_format", ["text", "v2"])
 def test_fast_matches_scalar(tmp_path, archive_format):
-    fast, scalar = str(tmp_path / "fast"), str(tmp_path / "scalar")
-    r1 = Facility(CFG, seed=SEED).run_with_files(
-        fast, compress=False, archive_format=archive_format)
-    r2 = Facility(CFG, seed=SEED).run_with_files(
-        scalar, compress=False, archive_format=archive_format,
-        synthesis="scalar")
-    assert _tree(fast) == _tree(scalar)
-    s1, s2 = r1.archive_stats, r2.archive_stats
-    assert (s1.raw_bytes, s1.file_count, s1.host_days) == \
-           (s2.raw_bytes, s2.file_count, s2.host_days)
-    t1 = r1.warehouse.job_table("ranger")
-    t2 = r2.warehouse.job_table("ranger")
-    assert list(t1["jobid"]) == list(t2["jobid"])
-
-
-def test_synthesis_validation(tmp_path):
-    with pytest.raises(ValueError):
-        Facility(CFG, seed=SEED).run_with_files(
-            str(tmp_path), synthesis="turbo")
+    """Archive tree, volume accounting and warehouse rows equal the
+    scalar daemon's, as pinned for this facility."""
+    got = golden.run_files(tmp_path, CFG, SEED, archive_format)
+    assert got == golden.load_golden()[golden.synth_key(archive_format)]
 
 
 # ---------------------------------------------------------------------------
